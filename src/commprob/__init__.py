@@ -4,6 +4,7 @@ supersolvability and class-size threshold statements."""
 
 from .perm import (
     DEFAULT_ORDER_CAP,
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupError,
     OrderCapExceeded,

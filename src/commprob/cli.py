@@ -16,7 +16,14 @@ import json
 import sys
 from pathlib import Path
 
-from .perm import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, Permutation, generate_group
+from .perm import (
+    DEFAULT_ORDER_CAP,
+    MAX_GROUP_ORDER,
+    FiniteGroup,
+    GroupError,
+    Permutation,
+    generate_group,
+)
 from .constructors import (
     ActionSpec,
     catalog_keys,
@@ -419,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.max_order <= MAX_GROUP_ORDER:
+            raise GroupError(
+                f"--max-order must be in 1..{MAX_GROUP_ORDER}, not {args.max_order}"
+            )
         return args.func(args)
     except (GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

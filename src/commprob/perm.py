@@ -10,9 +10,12 @@ across runs and can be used as stable element names everywhere else.
 from __future__ import annotations
 
 import math
+from array import array
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 5000
+MAX_GROUP_ORDER = 65536  # element indices are stored as 16-bit table entries
 
 
 class GroupError(ValueError):
@@ -107,12 +110,20 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 class FiniteGroup:
     """A fully enumerated permutation group with canonical element order.
 
-    Immutable after construction and safe to share read-only across
-    concurrent tasks; derived data (inverse table, multiplication table,
-    structural invariants) is memoized on the instance.
+    Every product is a lookup in the Cayley table, which is built on first
+    use (the first :meth:`mul` or :meth:`multiplication_table` call), not
+    at construction.  It is stored as one 16-bit ``array('H')`` row per
+    element, 2 * |G|^2 bytes in all: about 1 MB for S6, about 50 MB at the
+    default order cap of 5000.  Element indices must fit in 16 bits, so
+    groups of order above :data:`MAX_GROUP_ORDER` are refused.
+
+    The group is immutable after construction and safe to share read-only
+    across threads: two threads that both use it first may each build the
+    table, but they store identical rows.  Other derived data (inverses,
+    structural invariants) is memoized on the instance the same way.
     """
 
-    __slots__ = ("degree", "elements", "identity_index", "_index", "_gens", "_cache")
+    __slots__ = ("degree", "elements", "identity_index", "_index", "_gens", "_table", "_cache")
 
     def __init__(
         self,
@@ -123,6 +134,11 @@ class FiniteGroup:
         els = sorted(set(elements), key=lambda p: p.images)
         if not els:
             raise GroupError("a group needs at least the identity element")
+        if len(els) > MAX_GROUP_ORDER:
+            raise GroupError(
+                f"group order {len(els)} exceeds the limit of {MAX_GROUP_ORDER} "
+                "(element indices are 16-bit)"
+            )
         for p in els:
             if p.degree != degree:
                 raise GroupError(
@@ -142,6 +158,7 @@ class FiniteGroup:
             self._gens = None
         else:
             self._gens = tuple(self._index[g.images] for g in generator_perms)
+        self._table: tuple[array, ...] | None = None
         self._cache: dict = {}
 
     # -- basic queries ---------------------------------------------------
@@ -180,11 +197,7 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (apply i first, then j)."""
-        table = self._cache.get("mul_table")
-        if table is not None:
-            return table[i][j]
-        q = self.elements[j].images
-        return self._index[tuple(q[v] for v in self.elements[i].images)]
+        return (self._table or self.multiplication_table())[i][j]
 
     def inv(self, i: int) -> int:
         invs = self._cache.get("inv")
@@ -197,48 +210,46 @@ class FiniteGroup:
         """Index of g^-1 * x * g."""
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def multiplication_table(self) -> list[list[int]]:
-        """Full |G| x |G| index table, built once and cached.
+    def multiplication_table(self) -> tuple[array, ...]:
+        """The Cayley table, ``table[i][j] == mul(i, j)``: built on the first
+        call, then returned as stored.
 
-        Columns are filled in generator-word order so only |G| * #generators
-        real permutation compositions are needed; the rest are lookups.
+        Only generator rows are composed from permutations, |G| products
+        each; every other row is read off known ones, since
+        ``row[h*k] == [row[h][z] for z in row[k]]``.  A group built without
+        generators gets the greedy ones (see :meth:`generating_indices`) as
+        a by-product.
         """
-        table = self._cache.get("mul_table")
-        if table is not None:
-            return table
+        if self._table is not None:
+            return self._table
         n = self.order
-        gens = self.generating_indices()
-        # parent[j] = (k, g) with elements[j] == elements[k] * elements[g]
-        parent: dict[int, tuple[int, int]] = {}
-        bfs_order = [self.identity_index]
-        reached = {self.identity_index}
-        head = 0
-        while head < len(bfs_order):
-            k = bfs_order[head]
-            head += 1
-            for g in gens:
-                j = self.mul(k, g)
-                if j not in reached:
-                    reached.add(j)
-                    parent[j] = (k, g)
-                    bfs_order.append(j)
-        if len(reached) != n:
-            raise GroupError("generating set does not generate the group")
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            table[i][self.identity_index] = i
-        for g in gens:
-            for i in range(n):
-                table[i][g] = self.mul(i, g)
-        for j in bfs_order:
-            if j == self.identity_index or j in gens:
+        rows: list = [None] * n
+        rows[self.identity_index] = array("H", range(n))
+        known = [self.identity_index]
+        gens: list[int] = []
+        for g in self._gens or range(n):
+            if len(known) == n:
+                break
+            if rows[g] is not None:  # already in the subgroup generated so far
                 continue
-            k, g = parent[j]
-            col_k = [table[i][k] for i in range(n)]
-            for i in range(n):
-                table[i][j] = table[col_k[i]][g]
-        self._cache["mul_table"] = table
-        return table
+            # g is not the identity, so degree >= 2 and take() returns a tuple
+            take = itemgetter(*self.elements[g].images)
+            rows[g] = array("H", [self._index[take(q.images)] for q in self.elements])
+            gens.append(g)
+            known.append(g)
+            for k in known:  # also visits what the loop appends
+                for h in gens:
+                    row_h = rows[h]
+                    hk = row_h[k]
+                    if rows[hk] is None:
+                        rows[hk] = array("H", [row_h[z] for z in rows[k]])
+                        known.append(hk)
+        if len(known) != n:
+            raise GroupError("generating set does not generate the group")
+        if not self._gens:
+            self._gens = tuple(gens)
+        self._table = tuple(rows)
+        return self._table
 
     def generating_indices(self) -> tuple[int, ...]:
         """A small generating sequence, deterministic for a given group.
@@ -246,38 +257,9 @@ class FiniteGroup:
         Returns the generators recorded at construction when available,
         otherwise a greedy minimal sequence in canonical element order.
         """
-        if self._gens is not None and len(self._gens) > 0:
-            return self._gens
-        gens = self._cache.get("greedy_gens")
-        if gens is None:
-            chosen: list[int] = []
-            closed = {self.identity_index}
-            for i in range(self.order):
-                if i not in closed:
-                    chosen.append(i)
-                    closed = self._close(closed | {i})
-                    if len(closed) == self.order:
-                        break
-            gens = tuple(chosen)
-            self._cache["greedy_gens"] = gens
-        return gens
-
-    def _close(self, seed: set[int]) -> set[int]:
-        """Monoid closure of seed indices under multiplication."""
-        seen = set(seed)
-        seen.add(self.identity_index)
-        gens = sorted(seed)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+        if not self._gens:
+            self.multiplication_table()
+        return self._gens  # type: ignore[return-value]
 
 
 def generate_group(

@@ -91,19 +91,18 @@ def _check_index(G: FiniteGroup, x: int) -> None:
 
 
 def _close_indices(G: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
-    seen = {G.identity_index}
+    """Member indices of the subgroup generated by the seeds, ascending."""
+    rows = G.multiplication_table()
     gens = sorted(set(seeds))
-    frontier = [G.identity_index] + [s for s in gens if s not in seen]
-    seen.update(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = {G.identity_index, *gens}
+    frontier = list(seen)
+    for x in frontier:  # also visits what the loop appends
+        row_x = rows[x]
+        for g in gens:
+            y = row_x[g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return tuple(sorted(seen))
 
 
@@ -118,15 +117,13 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 def subgroup_gens(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
     """Greedy minimal generating sequence of a subgroup, in index order."""
     chosen: list[int] = []
-    closed: tuple[int, ...] = (G.identity_index,)
-    closed_set = {G.identity_index}
+    closed = {G.identity_index}
     for i in H.member_indices:
-        if i not in closed_set:
+        if len(closed) == H.order:
+            break
+        if i not in closed:
             chosen.append(i)
-            closed = _close_indices(G, chosen)
-            closed_set = set(closed)
-            if len(closed) == H.order:
-                break
+            closed = set(_close_indices(G, chosen))
     return tuple(chosen)
 
 
@@ -233,15 +230,21 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds."""
-    gens = G.generating_indices()
+    return _conjugation_closure(G, seeds, G.generating_indices())
+
+
+def _conjugation_closure(
+    G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]
+) -> Subgroup:
+    """Smallest subgroup containing the seeds, normalized by the conjugators."""
     current = set(_close_indices(G, seeds))
     while True:
-        extra = set()
-        for h in current:
-            for g in gens:
-                y = G.conjugate(h, g)
-                if y not in current:
-                    extra.add(y)
+        extra = {
+            y
+            for x in current
+            for g in conjugators
+            if (y := G.conjugate(x, g)) not in current
+        }
         if not extra:
             return Subgroup(G, current)
         current = set(_close_indices(G, current | extra))
@@ -344,17 +347,23 @@ def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
 
 def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
     """Re-enumerate a subgroup as a standalone group via its regular
-    representation; also return the map parent index -> new index."""
+    representation; also return the map parent index -> new index.
+
+    The new group records the greedy generators it would choose itself,
+    found by closing in G's table: the identity has the lowest index, so
+    the image tuple of x starts with x's position and the new canonical
+    order is the order of H's member indices.
+    """
     key = ("as_group", H.member_indices)
 
     def compute():
         members = H.member_indices
         pos = {m: i for i, m in enumerate(members)}
-        perms = [
-            Permutation(pos[G.mul(y, x)] for y in members) for x in members
-        ]
-        group = FiniteGroup(len(members), perms)
-        mapping = {m: group.index_of(p) for m, p in zip(members, perms)}
+        rows = G.multiplication_table()
+        perms = {x: Permutation(pos[rows[y][x]] for y in members) for x in members}
+        gens = [perms[g] for g in subgroup_gens(G, H)]
+        group = FiniteGroup(len(members), perms.values(), generator_perms=gens)
+        mapping = {m: group.index_of(p) for m, p in perms.items()}
         return group, mapping
 
     return _cached(G, key, compute)
@@ -399,18 +408,7 @@ def _derived_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
     hg = subgroup_gens(G, H)
     seeds = {commutator(G, a, b) for a in hg for b in hg}
     seeds.discard(G.identity_index)
-    # normal closure under H-conjugation only
-    current = set(_close_indices(G, seeds))
-    while True:
-        extra = {
-            G.conjugate(x, h)
-            for x in current
-            for h in hg
-            if G.conjugate(x, h) not in current
-        }
-        if not extra:
-            return Subgroup(G, current)
-        current = set(_close_indices(G, current | extra))
+    return _conjugation_closure(G, seeds, hg)
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from commprob.perm import FiniteGroup
+from commprob.perm import FiniteGroup, Permutation
 
 
 def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -36,6 +36,45 @@ def oracle_center(G: FiniteGroup) -> tuple[int, ...]:
 
 def oracle_centralizer(G: FiniteGroup, x: int) -> tuple[int, ...]:
     return tuple(g for g in range(G.order) if G.mul(g, x) == G.mul(x, g))
+
+
+def _perm_closure(gens: list[Permutation], identity: Permutation) -> set:
+    """Every product of the generator permutations, by composition."""
+    seen = {identity}
+    frontier = {identity}
+    while frontier:
+        frontier = {p * g for p in frontier for g in gens} - seen
+        seen |= frontier
+    return seen
+
+
+def oracle_greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
+    """Greedy generating sequence in canonical order: every element not in
+    the subgroup generated by those chosen before it, until that subgroup
+    is G.  Subgroups are closed by composing permutations."""
+    identity = Permutation.identity(G.degree)
+    chosen: list[int] = []
+    closed = {identity}
+    for i, p in enumerate(G.elements):
+        if len(closed) == G.order:
+            break
+        if p not in closed:
+            chosen.append(i)
+            closed = _perm_closure([G.elements[c] for c in chosen], identity)
+    return tuple(chosen)
+
+
+def oracle_coset_action(G: FiniteGroup, N: tuple[int, ...], g: int) -> Permutation:
+    """How g permutes the right cosets Nx, numbered by their lowest element
+    index, with cosets formed by composing permutations."""
+    normal = [G.elements[m] for m in N]
+    coset_id: dict[Permutation, int] = {}
+    reps = []
+    for x in G.elements:
+        if x not in coset_id:
+            reps.append(x)
+            coset_id.update((n * x, len(reps) - 1) for n in normal)
+    return Permutation(coset_id[r * G.elements[g]] for r in reps)
 
 
 def _closure(G: FiniteGroup, seeds) -> frozenset:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,10 @@ from commprob.isomorphism import are_isomorphic
 from commprob.perm import generate_group
 
 A4_FILE = "4\n1 2 0 3\n1 0 3 2\n"
+
+# SHA-256 of `verify --all --format json` stdout; outputs are fixed, so any
+# change to this value is a regression, not an update
+VERIFY_ALL_SHA256 = "aea612bbe96f71fa48e646a27ca317b54ccbffa15140b33f52957ac558349665"
 
 
 # -- group files -----------------------------------------------------------------
@@ -213,6 +218,19 @@ def test_verify_subset_byte_identical(capsys):
     assert main(["verify", "--name", "A4", "--format", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_all_golden_output(capsys):
+    assert main(["verify", "--all", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "65537", "100000"])
+def test_max_order_outside_16_bit_range_exit_2(cap, capsys):
+    assert main(["analyze", "--name", "A4", "--max-order", cap]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-order") and err.count("\n") == 1
 
 
 def test_table_format(capsys):

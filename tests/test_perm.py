@@ -1,8 +1,12 @@
+from itertools import islice, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commprob.perm import (
+    MAX_GROUP_ORDER,
+    FiniteGroup,
     GroupError,
     OrderCapExceeded,
     Permutation,
@@ -10,6 +14,8 @@ from commprob.perm import (
     element_order,
     generate_group,
 )
+
+from oracles import oracle_greedy_generators
 
 THREE_CYCLE = Permutation([1, 2, 0])
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])]
@@ -134,6 +140,36 @@ def test_inverse_table(cat):
     G = cat["S4"]
     for i in range(G.order):
         assert G.mul(i, G.inv(i)) == G.identity_index
+
+
+def test_order_above_16_bit_limit_refused():
+    # distinct degree-9 permutations; the order check comes before any other
+    too_many = islice(map(Permutation, permutations(range(9))), MAX_GROUP_ORDER + 1)
+    with pytest.raises(GroupError, match=str(MAX_GROUP_ORDER)):
+        FiniteGroup(9, too_many)
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 3))
+    return degree, [Permutation(draw(st.permutations(range(degree)))) for _ in range(count)]
+
+
+@given(generator_sets())
+@settings(deadline=None, max_examples=20)
+def test_kernel_matches_permutation_products(spec):
+    degree, gens = spec
+    G = generate_group(degree, gens)
+    els = G.elements
+    for i in range(G.order):
+        assert G.index_of(els[i] * els[G.inv(i)]) == G.identity_index
+        for j in range(G.order):
+            assert G.mul(i, j) == G.index_of(els[i] * els[j])
+    # the same elements without generators: the table walk picks greedy ones
+    bare = FiniteGroup(degree, els)
+    assert bare.generating_indices() == oracle_greedy_generators(bare)
+    assert bare.multiplication_table() == G.multiplication_table()
 
 
 perm_strategy = st.integers(2, 6).flatmap(

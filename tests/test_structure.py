@@ -30,7 +30,9 @@ from oracles import (
     oracle_center,
     oracle_centralizer,
     oracle_conjugacy_classes,
+    oracle_coset_action,
     oracle_derived_members,
+    oracle_greedy_generators,
     oracle_normal_subgroups,
 )
 
@@ -375,6 +377,23 @@ def test_as_group_regular_representation(cat):
     K = as_group(a4, klein_subgroup(a4))
     assert K.order == 4 and K.degree == 4
     assert are_isomorphic(K, cat["C2xC2"])
+
+
+def test_standalone_generators_match_oracle(cat):
+    # isomorphism and isoclinism witnesses follow these generators
+    for name, G in cat.items():
+        if G.order > 60:
+            continue
+        for N in normal_subgroups(G):
+            H = as_group(G, N)
+            assert H.generating_indices() == oracle_greedy_generators(H), name
+            Q = quotient(G, N)
+            recorded = [
+                Q.index_of(oracle_coset_action(G, N.member_indices, g))
+                for g in G.generating_indices()
+            ]
+            expected = tuple(dict.fromkeys(recorded)) or (Q.identity_index,)
+            assert Q.generating_indices() == expected, name
 
 
 # -- property tests -------------------------------------------------------------
