@@ -295,7 +295,7 @@ def _parse_action_file(text: str, n_order: int, count: int) -> list[tuple[int, .
     rows: list[tuple[int, ...]] = []
     for lineno, parts in _data_lines(text):
         if declared is None:
-            if len(parts) != 1:
+            if len(parts) != 1 or not parts[0].isdecimal():
                 raise GroupFileError(lineno, "expected the size of N on the first line")
             declared = int(parts[0])
             if declared != n_order:
@@ -334,7 +334,10 @@ def _cmd_construct(args) -> int:
         degree, gens = parse_group_file(text)
         H = generate_group(degree, gens, max_order=args.max_order)
     if args.h_gens:
-        h_gens = tuple(int(p) for p in args.h_gens.split(","))
+        parts = args.h_gens.split(",")
+        if not all(p.strip().isdecimal() and int(p) < H.order for p in parts):
+            raise GroupError(f"--h-gens must be indices in 0..{H.order - 1}, not {args.h_gens!r}")
+        h_gens = tuple(map(int, parts))
     else:
         h_gens = H.generating_indices()
     if args.describe:
@@ -430,8 +433,10 @@ def main(argv: list[str] | None = None) -> int:
             raise GroupError(
                 f"--max-order must be in 1..{MAX_GROUP_ORDER}, not {args.max_order}"
             )
+        if getattr(args, "s", 2) < 2:
+            raise GroupError(f"--s must be at least 2, not {args.s}")
         return args.func(args)
-    except (GroupError, OSError) as exc:
+    except (GroupError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

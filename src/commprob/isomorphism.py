@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .perm import FiniteGroup
+from .perm import FiniteGroup, element_order
 from .structure import _cached, class_size_map
 
 
@@ -55,9 +55,7 @@ def _injective_where_defined(phi: list[int]) -> bool:
 def _element_profiles(G: FiniteGroup) -> tuple[tuple[int, int], ...]:
     def compute():
         sizes = class_size_map(G)
-        return tuple(
-            (p.order(), sizes[i]) for i, p in enumerate(G.elements)
-        )
+        return tuple((element_order(G, i), sizes[i]) for i in range(G.order))
 
     return _cached(G, "profiles", compute)
 

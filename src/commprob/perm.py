@@ -117,13 +117,18 @@ class FiniteGroup:
     default order cap of 5000.  Element indices must fit in 16 bits, so
     groups of order above :data:`MAX_GROUP_ORDER` are refused.
 
+    Quotients and standalone subgroups are given by their Cayley table
+    alone (see :meth:`from_table`), built at construction from the parent's
+    table; their :attr:`elements`, the right regular permutations of degree
+    |G/N| or |H|, are built on first read.
+
     The group is immutable after construction and safe to share read-only
     across threads: two threads that both use it first may each build the
     table, but they store identical rows.  Other derived data (inverses,
     structural invariants) is memoized on the instance the same way.
     """
 
-    __slots__ = ("degree", "elements", "identity_index", "_index", "_gens", "_table", "_cache")
+    __slots__ = ("degree", "identity_index", "_elements", "_index", "_gens", "_table", "_cache")
 
     def __init__(
         self,
@@ -145,13 +150,13 @@ class FiniteGroup:
                     f"degree mismatch: expected {degree}, got {p.degree}"
                 )
         self.degree = degree
-        self.elements: tuple[Permutation, ...] = tuple(els)
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
+        self._elements: tuple[Permutation, ...] | None = tuple(els)
+        self._index = {p.images: i for i, p in enumerate(els)}
         ident = tuple(range(degree))
         if ident not in self._index:
             raise GroupError("element set does not contain the identity")
         self.identity_index = self._index[ident]
-        for p in self.elements:
+        for p in els:
             if p.inverse().images not in self._index:
                 raise GroupError(f"element set is missing the inverse of {p!r}")
         if generator_perms is None:
@@ -161,20 +166,53 @@ class FiniteGroup:
         self._table: tuple[array, ...] | None = None
         self._cache: dict = {}
 
+    @classmethod
+    def from_table(cls, rows: Sequence[array], gens: Sequence[int]) -> "FiniteGroup":
+        """The group with Cayley table ``rows`` (16-bit, row 0 the identity's)
+        and generators ``gens``: element c is the right regular permutation
+        ``a -> rows[a][c]``, which starts with c, so canonical order is index
+        order.  Refuses a non-Latin square; associativity is not tested."""
+        n = len(rows)
+        ident = list(range(n))
+        if (
+            not n
+            or any(len(r) != n or len(set(r)) != n for r in rows)
+            or max(map(max, rows)) >= n
+            or rows[0].tolist() != ident
+            or [r[0] for r in rows] != ident
+            or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
+        ):
+            raise GroupError("not a group table with identity 0 on 0..n-1")
+        group = cls.__new__(cls)
+        group.degree, group.identity_index, group._elements, group._index = n, 0, None, None
+        group._gens, group._table, group._cache = tuple(gens), tuple(rows), {}
+        return group
+
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._elements or self._table)
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:  # table-given: the right regular permutations
+            self._elements = tuple(map(Permutation, zip(*self._table)))
+        return self._elements
+
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        if self._index is None:
+            self._index = {p.images: i for i, p in enumerate(self.elements)}
+        return self._index
 
     def index_of(self, p: Permutation) -> int:
         try:
-            return self._index[p.images]
+            return self._positions()[p.images]
         except KeyError:
             raise GroupError(f"{p!r} is not an element of this group") from None
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.images in self._index
+        return isinstance(p, Permutation) and p.images in self._positions()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -202,7 +240,7 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         invs = self._cache.get("inv")
         if invs is None:
-            invs = tuple(self._index[p.inverse().images] for p in self.elements)
+            invs = tuple(r.index(self.identity_index) for r in self.multiplication_table())
             self._cache["inv"] = invs
         return invs[i]
 
@@ -303,4 +341,13 @@ def element_order(G: FiniteGroup, x: int) -> int:
     """Least m >= 1 with x^m equal to the identity."""
     if not 0 <= x < G.order:
         raise IndexError(f"element index {x} out of range for group of order {G.order}")
-    return G.elements[x].order()
+    orders = G._cache.get("orders")
+    if orders is None:  # power each element in the table until it reaches the identity
+        rows, orders = G.multiplication_table(), []
+        for y in range(G.order):
+            z, m = y, 1
+            while z != G.identity_index:
+                z, m = rows[z][y], m + 1
+            orders.append(m)
+        G._cache["orders"] = orders = tuple(orders)
+    return orders[x]

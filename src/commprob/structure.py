@@ -9,9 +9,10 @@ classifiers.  Everything operates on element indices of an immutable
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Iterable, Sequence
 
-from .perm import FiniteGroup, GroupError, Permutation, generate_group
+from .perm import FiniteGroup, GroupError, element_order
 
 
 class NotNormal(GroupError):
@@ -314,45 +315,36 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
 
 
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient G/N realized by the action on right cosets, plus the
-    projection map from G element indices to quotient element indices."""
+    """Quotient G/N, given by its Cayley table on the right cosets of N, plus
+    the projection map from G element indices to quotient element indices."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
     key = ("quotient", N.member_indices)
 
     def compute():
         coset_of, reps = _coset_data(G, N)
-        ncos = len(reps)
-
-        def coset_perm(g: int) -> Permutation:
-            return Permutation(coset_of[G.mul(r, g)] for r in reps)
-
-        Q = generate_group(
-            ncos,
-            [coset_perm(g) for g in G.generating_indices()] or [Permutation.identity(ncos)],
-            max_order=max(G.order, 1),
-        )
-        if Q.order * N.order != G.order:
+        if len(reps) * N.order != G.order:
             raise GroupError("coset action has the wrong image size")
-        pi = tuple(Q.index_of(coset_perm(g)) for g in range(G.order))
-        return Q, pi
+        rows = G.multiplication_table()
+        table = [array("H", [coset_of[rows[r][t]] for t in reps]) for r in reps]
+        gens = dict.fromkeys(coset_of[g] for g in G.generating_indices()) or (0,)
+        return FiniteGroup.from_table(table, tuple(gens)), tuple(coset_of)
 
     return _cached(G, key, compute)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    """The quotient group G/N as permutations of the cosets of N."""
+    """The quotient group G/N, given by its table on the cosets of N."""
     return quotient_with_map(G, N)[0]
 
 
 def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
-    """Re-enumerate a subgroup as a standalone group via its regular
-    representation; also return the map parent index -> new index.
+    """A subgroup as a standalone group, given by its Cayley table read off
+    G's; also return the map parent index -> new index.
 
-    The new group records the greedy generators it would choose itself,
-    found by closing in G's table: the identity has the lowest index, so
-    the image tuple of x starts with x's position and the new canonical
-    order is the order of H's member indices.
+    The new canonical order is the order of H's member indices, and the
+    new group records the greedy generators it would choose itself, found
+    by closing in G's table.
     """
     key = ("as_group", H.member_indices)
 
@@ -360,11 +352,9 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
         members = H.member_indices
         pos = {m: i for i, m in enumerate(members)}
         rows = G.multiplication_table()
-        perms = {x: Permutation(pos[rows[y][x]] for y in members) for x in members}
-        gens = [perms[g] for g in subgroup_gens(G, H)]
-        group = FiniteGroup(len(members), perms.values(), generator_perms=gens)
-        mapping = {m: group.index_of(p) for m, p in perms.items()}
-        return group, mapping
+        table = [array("H", [pos[rows[x][y]] for y in members]) for x in members]
+        gens = tuple(pos[g] for g in subgroup_gens(G, H))
+        return FiniteGroup.from_table(table, gens), pos
 
     return _cached(G, key, compute)
 
@@ -467,7 +457,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _iso_invariant_key(G: FiniteGroup) -> tuple:
-    orders = tuple(sorted(p.order() for p in G.elements))
+    orders = tuple(sorted(element_order(G, x) for x in range(G.order)))
     sizes = tuple(sorted(c.size for c in conjugacy_classes(G)))
     return (G.order, orders, sizes)
 
@@ -480,7 +470,7 @@ def _prime_order_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     for x in range(G.order):
         if x == G.identity_index:
             continue
-        o = G.elements[x].order()
+        o = element_order(G, x)
         if not _is_prime(o):
             continue
         members = _close_indices(G, [x])

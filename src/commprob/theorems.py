@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .perm import FiniteGroup
+from .perm import FiniteGroup, element_order
 from .constructors import named
 from .isoclinism import are_isoclinic, is_stem
 from .probability import (
@@ -185,9 +185,7 @@ def verify_odd_35_243(G: FiniteGroup) -> Verdict:
 
 
 def _is_klein(G: FiniteGroup, N: Subgroup) -> bool:
-    return N.order == 4 and all(
-        G.elements[m].order() <= 2 for m in N.member_indices
-    )
+    return N.order == 4 and all(element_order(G, m) <= 2 for m in N.member_indices)
 
 
 def _subgroup_is_abelian(G: FiniteGroup, N: Subgroup) -> bool:

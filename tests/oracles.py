@@ -77,6 +77,15 @@ def oracle_coset_action(G: FiniteGroup, N: tuple[int, ...], g: int) -> Permutati
     return Permutation(coset_id[r * G.elements[g]] for r in reps)
 
 
+def oracle_regular_representation(G: FiniteGroup, members: tuple[int, ...]) -> tuple:
+    """A subgroup's right regular representation in canonical order: x moves
+    the position of member y to that of y * x, products by composition."""
+    perms = [G.elements[m] for m in members]
+    where = {p: i for i, p in enumerate(perms)}
+    regular = (Permutation(where[y * x] for y in perms) for x in perms)
+    return tuple(sorted(regular, key=lambda p: p.images))
+
+
 def _closure(G: FiniteGroup, seeds) -> frozenset:
     seen = {G.identity_index} | set(seeds)
     frontier = list(seen)

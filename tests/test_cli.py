@@ -210,6 +210,67 @@ def test_construct_rejects_bad_action(tmp_path, capsys):
     assert "automorphism" in capsys.readouterr().err
 
 
+def _single_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_construct_action_size_not_integer_exit_2(tmp_path, capsys):
+    action = tmp_path / "bad.act"
+    action.write_text("four\n0 2 3 1\n")
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--action", str(action)]
+    )
+    assert code == 2
+    assert _single_line_error(capsys).startswith("error: line 1:")
+
+
+def test_construct_h_gens_not_integer_exit_2(tmp_path, capsys):
+    action = tmp_path / "rot.act"
+    action.write_text("4\n0 2 3 1\n")
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3",
+         "--h-gens", "1,x", "--action", str(action)]
+    )
+    assert code == 2
+    assert "--h-gens" in _single_line_error(capsys)
+
+
+def test_construct_h_gens_out_of_range_exit_2(capsys):
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--h-gens", "99", "--describe"]
+    )
+    assert code == 2
+    assert "0..2" in _single_line_error(capsys)
+
+
+def test_group_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.grp"
+    path.write_bytes(b"# gr\xfcppe\n3\n1 2 0\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "utf-8" in _single_line_error(capsys)
+
+
+def test_action_file_not_utf8_exit_2(tmp_path, capsys):
+    action = tmp_path / "latin1.act"
+    action.write_bytes(b"# \xe9\n4\n0 2 3 1\n")
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--action", str(action)]
+    )
+    assert code == 2
+    assert "utf-8" in _single_line_error(capsys)
+
+
+@pytest.mark.parametrize("s", ["1", "0", "-3"])
+def test_class_size_s_below_2_exit_2(s, capsys):
+    code = main(
+        ["verify", "--theorem", "class-size", "--s", s, "--name", "A4", "--normal", "klein"]
+    )
+    assert code == 2
+    assert _single_line_error(capsys).startswith("error: --s")
+
+
 def test_verify_subset_byte_identical(capsys):
     # full determinism over the whole catalog is exercised in the acceptance
     # suite; spot-check a subset here

@@ -1,3 +1,4 @@
+from array import array
 from itertools import islice, permutations
 
 import pytest
@@ -149,6 +150,21 @@ def test_order_above_16_bit_limit_refused():
         FiniteGroup(9, too_many)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],  # no identity
+        [[1, 0], [0, 1]],  # row 0 is not the identity's
+        [[0, 1], [1, 5]],  # an entry outside 0..n-1
+        [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # a row that is not a permutation
+        [[0, 1, 2], [1, 0, 2], [2, 1, 0]],  # rows permute, columns 1 and 2 do not
+    ],
+)
+def test_non_group_table_refused(rows):
+    with pytest.raises(GroupError, match="not a group table"):
+        FiniteGroup.from_table([array("H", r) for r in rows], ())
+
+
 @st.composite
 def generator_sets(draw):
     degree = draw(st.integers(1, 6))
@@ -166,6 +182,13 @@ def test_kernel_matches_permutation_products(spec):
         assert G.index_of(els[i] * els[G.inv(i)]) == G.identity_index
         for j in range(G.order):
             assert G.mul(i, j) == G.index_of(els[i] * els[j])
+    # inverses and orders, read off the table, for G and for the group its
+    # table gives (whose elements are G's right regular permutations)
+    table_given = FiniteGroup.from_table(G.multiplication_table(), G.generating_indices())
+    for group in (G, table_given):
+        for i in range(group.order):
+            assert group.elements[group.inv(i)] == group.elements[i].inverse()
+            assert element_order(group, i) == group.elements[i].order()
     # the same elements without generators: the table walk picks greedy ones
     bare = FiniteGroup(degree, els)
     assert bare.generating_indices() == oracle_greedy_generators(bare)

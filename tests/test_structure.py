@@ -22,6 +22,7 @@ from commprob.structure import (
     minimal_normal_subgroups,
     normal_subgroups,
     quotient,
+    quotient_with_map,
     subgroup_generated,
 )
 from commprob.isomorphism import are_isomorphic
@@ -34,6 +35,7 @@ from oracles import (
     oracle_derived_members,
     oracle_greedy_generators,
     oracle_normal_subgroups,
+    oracle_regular_representation,
 )
 
 
@@ -387,11 +389,11 @@ def test_standalone_generators_match_oracle(cat):
         for N in normal_subgroups(G):
             H = as_group(G, N)
             assert H.generating_indices() == oracle_greedy_generators(H), name
-            Q = quotient(G, N)
-            recorded = [
-                Q.index_of(oracle_coset_action(G, N.member_indices, g))
-                for g in G.generating_indices()
-            ]
+            assert H.elements == oracle_regular_representation(G, N.member_indices), name
+            Q, pi = quotient_with_map(G, N)
+            actions = [oracle_coset_action(G, N.member_indices, g) for g in range(G.order)]
+            assert [Q.elements[pi[g]] for g in range(G.order)] == actions, name
+            recorded = [Q.index_of(actions[g]) for g in G.generating_indices()]
             expected = tuple(dict.fromkeys(recorded)) or (Q.identity_index,)
             assert Q.generating_indices() == expected, name
 
