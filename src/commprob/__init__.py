@@ -9,7 +9,6 @@ from .perm import (
     GroupError,
     OrderCapExceeded,
     Permutation,
-    compose,
     element_order,
     generate_group,
 )

@@ -36,6 +36,7 @@ from .probability import DEFAULT_ORACLE_CAP, commuting_pairs_oracle, commuting_p
 from .structure import Subgroup, center, derived_subgroup, normal_subgroups
 from .theorems import (
     Verdict,
+    _is_klein,
     analyze,
     run_catalog_verification,
     summarize,
@@ -109,9 +110,12 @@ def _load_group(args) -> tuple[FiniteGroup, str]:
         raise GroupError("give exactly one of a catalog --name or a group file path")
     if name is not None:
         return named(name), name
-    text = Path(path).read_text(encoding="utf-8")
-    degree, gens = parse_group_file(text)
-    return generate_group(degree, gens, max_order=args.max_order), path
+    return _read_group(path, args.max_order), path
+
+
+def _read_group(path: str, max_order: int) -> FiniteGroup:
+    degree, gens = parse_group_file(Path(path).read_text(encoding="utf-8"))
+    return generate_group(degree, gens, max_order=max_order)
 
 
 def _select_normal(G: FiniteGroup, spec: str) -> Subgroup:
@@ -121,12 +125,7 @@ def _select_normal(G: FiniteGroup, spec: str) -> Subgroup:
         return derived_subgroup(G)
     normals = normal_subgroups(G)
     if spec == "klein":
-        matches = [
-            n
-            for n in normals
-            if n.order == 4
-            and all(G.elements[m].order() <= 2 for m in n.member_indices)
-        ]
+        matches = [n for n in normals if _is_klein(G, n)]
     else:
         try:
             order = int(spec)
@@ -254,17 +253,13 @@ def _cmd_isoclinic(args) -> int:
     if args.name is not None:
         G, la = named(args.name), args.name
     else:
-        text = Path(args.path).read_text(encoding="utf-8")
-        degree, gens = parse_group_file(text)
-        G, la = generate_group(degree, gens, max_order=args.max_order), args.path
+        G, la = _read_group(args.path, args.max_order), args.path
     if args.name2 is not None:
         H, lb = named(args.name2), args.name2
     else:
         if args.path2 is None:
             raise GroupError("isoclinic needs two groups (--name2 or a second path)")
-        text = Path(args.path2).read_text(encoding="utf-8")
-        degree, gens = parse_group_file(text)
-        H, lb = generate_group(degree, gens, max_order=args.max_order), args.path2
+        H, lb = _read_group(args.path2, args.max_order), args.path2
     witness = find_isoclinism(G, H)
     payload: dict = {"first": la, "second": lb, "isoclinic": witness is not None}
     if witness is not None and args.witness:
@@ -323,16 +318,9 @@ def _parse_action_file(text: str, n_order: int, count: int) -> list[tuple[int, .
 def _cmd_construct(args) -> int:
     if args.construct_cmd != "semidirect":
         raise GroupError("unknown construct subcommand")
-    N = named(args.n) if args.n in catalog_orders() else None
-    if N is None:
-        text = Path(args.n).read_text(encoding="utf-8")
-        degree, gens = parse_group_file(text)
-        N = generate_group(degree, gens, max_order=args.max_order)
-    H = named(args.h) if args.h in catalog_orders() else None
-    if H is None:
-        text = Path(args.h).read_text(encoding="utf-8")
-        degree, gens = parse_group_file(text)
-        H = generate_group(degree, gens, max_order=args.max_order)
+    keys = catalog_orders()
+    N = named(args.n) if args.n in keys else _read_group(args.n, args.max_order)
+    H = named(args.h) if args.h in keys else _read_group(args.h, args.max_order)
     if args.h_gens:
         parts = args.h_gens.split(",")
         if not all(p.strip().isdecimal() and int(p) < H.order for p in parts):

@@ -17,6 +17,7 @@ from .structure import (
     _cached,
     as_group_with_map,
     center,
+    commutator,
     derived_subgroup,
     quotient_with_map,
 )
@@ -59,22 +60,19 @@ def commutator_pairing(G: FiniteGroup) -> PairingStructure:
             if reps[pi[i]] < 0:
                 reps[pi[i]] = i
 
-        def comm(a: int, b: int) -> int:
-            return G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-
         pairing = [
-            tuple(dmap[comm(reps[q1], reps[q2])] for q2 in range(Q.order))
+            tuple(dmap[commutator(G, reps[q1], reps[q2])] for q2 in range(Q.order))
             for q1 in range(Q.order)
         ]
         for g1 in range(G.order):
             row = pairing[pi[g1]]
             for q2 in range(Q.order):
-                if dmap[comm(g1, reps[q2])] != row[q2]:
+                if dmap[commutator(G, g1, reps[q2])] != row[q2]:
                     raise GroupError("commutator pairing is not well defined")
         for g2 in range(G.order):
             q2 = pi[g2]
             for q1 in range(Q.order):
-                if dmap[comm(reps[q1], g2)] != pairing[q1][q2]:
+                if dmap[commutator(G, reps[q1], g2)] != pairing[q1][q2]:
                     raise GroupError("commutator pairing is not well defined")
         return PairingStructure(Q, D, tuple(pairing))
 

@@ -102,11 +102,6 @@ class Permutation:
         return f"Permutation({list(self.images)!r})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Composition in application order: the result maps i to q(p(i))."""
-    return p * q
-
-
 class FiniteGroup:
     """A fully enumerated permutation group with canonical element order.
 

@@ -8,11 +8,10 @@ classifiers.  Everything operates on element indices of an immutable
 
 from __future__ import annotations
 
-import threading
 from array import array
 from typing import Iterable, Sequence
 
-from .perm import FiniteGroup, GroupError, element_order
+from .perm import FiniteGroup, GroupError
 
 
 class NotNormal(GroupError):
@@ -252,33 +251,29 @@ def _conjugation_closure(
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, as the join-closure of the subgroups generated
-    by single conjugacy classes; sorted by order then member set."""
+    """All normal subgroups, sorted by order then member set.  Each is a join
+    of atoms (the subgroups generated by single conjugacy classes), and the
+    join of normal A and B is the product set AB, so the atoms are closed
+    under joining with one atom at a time."""
 
     def compute():
-        atoms = {}
-        trivial = (G.identity_index,)
-        atoms[trivial] = Subgroup(G, trivial)
-        for c in conjugacy_classes(G):
-            s = _close_indices(G, c.members)
-            atoms[s] = Subgroup(G, s)
-        found = dict(atoms)
-        frontier = list(atoms.values())
+        rows = G.multiplication_table()
+        atoms = {(G.identity_index,)}
+        atoms.update(_close_indices(G, c.members) for c in conjugacy_classes(G))
+        atoms = [b for b in atoms if len(b) < G.order]
+        found = set(atoms) | {tuple(range(G.order))}
+        frontier = atoms
         while frontier:
             nxt = []
             for a in frontier:
-                for b in list(found.values()):
-                    if a.order == G.order or b.order == G.order:
-                        continue
-                    joined = _close_indices(
-                        G, set(a.member_indices) | set(b.member_indices)
-                    )
+                for b in atoms:
+                    joined = tuple(sorted({rows[x][y] for x in a for y in b}))
                     if joined not in found:
-                        sub = Subgroup(G, joined)
-                        found[joined] = sub
-                        nxt.append(sub)
+                        found.add(joined)
+                        if len(joined) < G.order:
+                            nxt.append(joined)
             frontier = nxt
-        return sorted(found.values(), key=lambda s: (s.order, s.member_indices))
+        return [Subgroup(G, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
     return _cached(G, "normal_subgroups", compute)
 
@@ -441,9 +436,6 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 # -- supersolvability ----------------------------------------------------------
 
-_SSOLV_MEMO: dict[tuple, list[tuple[FiniteGroup, bool]]] = {}
-_SSOLV_LOCK = threading.Lock()
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -456,60 +448,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _iso_invariant_key(G: FiniteGroup) -> tuple:
-    orders = tuple(sorted(element_order(G, x) for x in range(G.order)))
-    sizes = tuple(sorted(c.size for c in conjugacy_classes(G)))
-    return (G.order, orders, sizes)
-
-
-def _prime_order_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Normal subgroups <x> of prime order, in canonical order."""
-    out = []
-    seen: set[tuple[int, ...]] = set()
-    gens = G.generating_indices()
-    for x in range(G.order):
-        if x == G.identity_index:
-            continue
-        o = element_order(G, x)
-        if not _is_prime(o):
-            continue
-        members = _close_indices(G, [x])
-        if members in seen:
-            continue
-        seen.add(members)
-        mset = set(members)
-        if all(G.conjugate(x, g) in mset for g in gens):
-            out.append(Subgroup(G, members))
-    return out
-
-
 def is_supersolvable(G: FiniteGroup) -> bool:
-    """Recursive test: G is supersolvable iff it is trivial or has a normal
-    subgroup of prime order with supersolvable quotient.
+    """True iff some chain 1 = N0 < N1 < ... < Nk = G of normal subgroups of
+    G has every index [N(i+1) : N(i)] prime (Huppert, *Endliche Gruppen I*,
+    VI.9).  Searched as a path up :func:`normal_subgroups`: M is reached if
+    it is trivial or contains a reached N of prime index in M."""
 
-    Memoized on an isomorphism-invariant key (order, element-order multiset,
-    class-size multiset) with an isomorphism check on key collisions.  The
-    memo table is guarded by a lock so concurrent calls are safe.
-    """
-    if G.order == 1:
-        return True
-    key = _iso_invariant_key(G)
-    with _SSOLV_LOCK:
-        bucket = list(_SSOLV_MEMO.get(key, ()))
-    if bucket:
-        from .isomorphism import are_isomorphic  # circular at module load time
+    def compute():
+        reached: list[Subgroup] = []
+        for M in normal_subgroups(G):
+            if M.is_trivial() or any(
+                _is_prime(M.order // N.order) and all(x in M for x in N.member_indices)
+                for N in reached
+            ):
+                reached.append(M)
+        return reached[-1].is_whole()
 
-        for known, verdict in bucket:
-            if are_isomorphic(G, known):
-                return verdict
-    result = False
-    for N in _prime_order_normal_subgroups(G):
-        if is_supersolvable(quotient(G, N)):
-            result = True
-            break
-    with _SSOLV_LOCK:
-        _SSOLV_MEMO.setdefault(key, []).append((G, result))
-    return result
+    return _cached(G, "supersolvable", compute)
 
 
 # -- complements ---------------------------------------------------------------
@@ -520,35 +475,37 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
 
     Depth-first search over coset representatives: at each step the first
     coset not yet covered by <H> is tried, candidates in canonical element
-    order, so the first success is deterministic.
+    order, so the first success is deterministic.  Memoized per N.
     """
     if not is_normal(G, N):
         raise NotNormal("complements are searched for normal subgroups only")
     if N.is_trivial() or N.is_whole():
         raise GroupError("find_complement requires a nontrivial proper subgroup")
     target = G.order // N.order
-    _, pi = quotient_with_map(G, N)
-    coset_members: list[list[int]] = [[] for _ in range(target)]
-    for i in range(G.order):
-        coset_members[pi[i]].append(i)
 
-    def search(current: tuple[int, ...]) -> tuple[int, ...] | None:
-        if len(current) == target:
-            return current
-        covered = {pi[x] for x in current}
-        first_open = min(q for q in range(target) if q not in covered)
-        for cand in coset_members[first_open]:
-            grown = _close_indices(G, set(current) | {cand})
-            if len(grown) > target or target % len(grown) != 0:
-                continue
-            if len({pi[x] for x in grown}) != len(grown):
-                continue  # meets N nontrivially
-            result = search(grown)
-            if result is not None:
-                return result
-        return None
+    def compute():
+        _, pi = quotient_with_map(G, N)
+        coset_members: list[list[int]] = [[] for _ in range(target)]
+        for i in range(G.order):
+            coset_members[pi[i]].append(i)
 
-    found = search((G.identity_index,))
-    if found is None:
-        return None
-    return Subgroup(G, found)
+        def search(current: tuple[int, ...]) -> tuple[int, ...] | None:
+            if len(current) == target:
+                return current
+            covered = {pi[x] for x in current}
+            first_open = min(q for q in range(target) if q not in covered)
+            for cand in coset_members[first_open]:
+                grown = _close_indices(G, set(current) | {cand})
+                if len(grown) > target or target % len(grown) != 0:
+                    continue
+                if len({pi[x] for x in grown}) != len(grown):
+                    continue  # meets N nontrivially
+                result = search(grown)
+                if result is not None:
+                    return result
+            return None
+
+        found = search((G.identity_index,))
+        return None if found is None else Subgroup(G, found)
+
+    return _cached(G, ("complement", N.member_indices), compute)

@@ -28,6 +28,7 @@ from .probability import (
 )
 from .structure import (
     Subgroup,
+    _cached,
     as_group,
     center,
     classes_inside,
@@ -127,13 +128,22 @@ def _reference(key: str) -> FiniteGroup:
 
 
 def _normal_descriptor(G: FiniteGroup, N: Subgroup) -> str:
-    same_order = [m for m in normal_subgroups(G) if m.order == N.order]
-    if len(same_order) == 1:
-        return f"N=order{N.order}"
-    pos = next(
-        i for i, m in enumerate(same_order) if m.member_indices == N.member_indices
+    """``N=order<k>``, plus ``#<i>``, its place in lattice order, when G has
+    several normal subgroups of order k; a non-normal N gets the bare order."""
+
+    def compute():
+        by_order: dict[int, list[tuple[int, ...]]] = {}
+        for m in normal_subgroups(G):
+            by_order.setdefault(m.order, []).append(m.member_indices)
+        return {
+            members: f"N=order{len(members)}" + (f"#{i}" if len(same) > 1 else "")
+            for same in by_order.values()
+            for i, members in enumerate(same)
+        }
+
+    return _cached(G, "normal_descriptors", compute).get(
+        N.member_indices, f"N=order{N.order}"
     )
-    return f"N=order{N.order}#{pos}"
 
 
 # -- threshold verifiers -------------------------------------------------------

@@ -140,6 +140,15 @@ def oracle_normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_is_supersolvable(G: FiniteGroup) -> bool:
+    """Huppert's criterion: every maximal subgroup has prime index (for
+    order <= 24, where :func:`oracle_all_subgroups` is complete)."""
+    proper = [set(s) for s in oracle_all_subgroups(G) if len(s) < G.order]
+    maximal = [h for h in proper if not any(h < k for k in proper)]
+    indices = [G.order // len(h) for h in maximal]
+    return all(all(i % d for d in range(2, i)) for i in indices)
+
+
 def oracle_element_order(G: FiniteGroup, x: int) -> int:
     y = x
     m = 1

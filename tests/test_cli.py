@@ -168,6 +168,20 @@ def test_isoclinic_command(capsys):
     assert out["isoclinic"] and "witness" in out
 
 
+def test_isoclinic_group_files(tmp_path, capsys):
+    a4 = tmp_path / "a4.grp"
+    a4.write_text(A4_FILE)
+    c2a4 = tmp_path / "c2a4.grp"
+    c2a4.write_text("6\n1 2 0 3 4 5\n1 0 3 2 4 5\n0 1 2 3 5 4\n")
+    s3 = tmp_path / "s3.grp"
+    s3.write_text("3\n1 0 2\n1 2 0\n")
+    assert main(["isoclinic", str(c2a4), str(a4)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"first": str(c2a4), "second": str(a4), "isoclinic": True}
+    assert main(["isoclinic", str(a4), str(s3)]) == 0
+    assert json.loads(capsys.readouterr().out)["isoclinic"] is False
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     entries = json.loads(capsys.readouterr().out)
@@ -192,6 +206,25 @@ def test_construct_semidirect_builds_a4(tmp_path, capsys):
     from commprob.constructors import named
 
     assert are_isomorphic(G, named("A4"))
+
+
+def test_construct_semidirect_from_group_files(tmp_path, capsys):
+    n_file = tmp_path / "v4.grp"
+    n_file.write_text("4\n1 0 3 2\n2 3 0 1\n")
+    h_file = tmp_path / "c3.grp"
+    h_file.write_text("3\n1 2 0\n")
+    action = tmp_path / "rot.act"
+    action.write_text("4\n0 2 3 1\n")  # cycles the three involutions
+    out = tmp_path / "product.grp"
+    code = main(
+        ["construct", "semidirect", "--n", str(n_file), "--h", str(h_file),
+         "--action", str(action), "--out", str(out)]
+    )
+    assert code == 0
+    degree, gens = parse_group_file(out.read_text())
+    from commprob.constructors import named
+
+    assert are_isomorphic(generate_group(degree, gens), named("A4"))
 
 
 def test_construct_describe(capsys):

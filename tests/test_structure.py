@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commprob.perm import GroupError, Permutation, generate_group
+from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.structure import (
     NotNormal,
     Subgroup,
@@ -34,6 +34,7 @@ from oracles import (
     oracle_coset_action,
     oracle_derived_members,
     oracle_greedy_generators,
+    oracle_is_supersolvable,
     oracle_normal_subgroups,
     oracle_regular_representation,
 )
@@ -216,10 +217,23 @@ def test_normal_subgroups_examples(cat):
 
 
 def test_normal_subgroups_match_oracle(cat):
-    for name in ("C6", "S3", "D8", "Q8", "A4", "D12", "S4", "C2xA4", "Q8:C3", "C7:C3"):
-        G = cat[name]
-        got = [n.member_indices for n in normal_subgroups(G)]
-        assert sorted(got) == sorted(oracle_normal_subgroups(G)), name
+    for name, G in cat.items():
+        if G.order <= 24:
+            got = [n.member_indices for n in normal_subgroups(G)]
+            assert sorted(got) == sorted(oracle_normal_subgroups(G)), name
+
+
+@pytest.mark.parametrize("n, subspaces", [(4, 67), (5, 374)])
+def test_normal_subgroups_of_elementary_abelian(n, subspaces):
+    # every subgroup of C2^n is normal, one per subspace of F_2^n
+    swaps = []
+    for i in range(n):
+        images = list(range(2 * n))
+        images[2 * i], images[2 * i + 1] = images[2 * i + 1], images[2 * i]
+        swaps.append(Permutation(images))
+    G = generate_group(2 * n, swaps)
+    assert len(normal_subgroups(G)) == subspaces
+    assert is_supersolvable(G)
 
 
 def test_minimal_normal_subgroups(cat):
@@ -303,6 +317,12 @@ def test_supersolvability(cat):
     assert not is_supersolvable(cat["(C5xC5):C3"])
     assert is_supersolvable(cat["C1"])
     assert not is_supersolvable(cat["Q8:C3"])
+
+
+def test_supersolvable_matches_huppert_criterion(cat):
+    for name, G in cat.items():
+        if G.order <= 24:
+            assert is_supersolvable(G) == oracle_is_supersolvable(G), name
 
 
 def test_classifier_chain(cat):
@@ -428,3 +448,22 @@ def test_random_groups_center_normal_abelian(G):
         for a in z.member_indices
         for b in z.member_indices
     )
+
+
+@st.composite
+def groups_up_to_24(draw):
+    degree = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 2))
+    gens = [Permutation(draw(st.permutations(list(range(degree))))) for _ in range(k)]
+    try:
+        return generate_group(degree, gens, max_order=24)
+    except OrderCapExceeded:
+        assume(False)
+
+
+@given(groups_up_to_24())
+@settings(deadline=None, max_examples=40)
+def test_random_groups_supersolvable_and_lattice_match_oracles(G):
+    assert is_supersolvable(G) == oracle_is_supersolvable(G)
+    got = [n.member_indices for n in normal_subgroups(G)]
+    assert sorted(got) == oracle_normal_subgroups(G)

@@ -4,6 +4,7 @@ import pytest
 
 from commprob.structure import (
     center,
+    conjugacy_classes,
     normal_subgroups,
     subgroup_generated,
 )
@@ -120,6 +121,16 @@ def test_class_size_precondition_states(cat):
 
     with pytest.raises(ValueError):
         verify_class_size_theorem(a4, normal_of_order(cat, "A4", 4), 1)
+
+
+def test_class_size_non_normal_subgroup_is_a_skip(cat):
+    # S3 has no normal subgroup of order 2: the label is the bare order
+    s3 = cat["S3"]
+    transposition = next(c for c in conjugacy_classes(s3) if c.size == 3)
+    N = subgroup_generated(s3, [transposition.representative])
+    v = verify_class_size_theorem(s3, N, 4)
+    assert v.statement == "d>1/4:class-in-N;N=order2"
+    assert not v.precondition_ok and "not normal" in v.note
 
 
 def test_class_size_not_applicable_below_threshold(cat):
