@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -250,10 +251,7 @@ def _emit_verify(reports, fmt: str) -> int:
 
 
 def _cmd_isoclinic(args) -> int:
-    if args.name is not None:
-        G, la = named(args.name), args.name
-    else:
-        G, la = _read_group(args.path, args.max_order), args.path
+    G, la = _load_group(args)
     if args.name2 is not None:
         H, lb = named(args.name2), args.name2
     else:
@@ -423,8 +421,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         if getattr(args, "s", 2) < 2:
             raise GroupError(f"--s must be at least 2, not {args.s}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (GroupError, OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # nothing more can reach stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

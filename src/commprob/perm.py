@@ -114,7 +114,8 @@ class FiniteGroup:
 
     Quotients and standalone subgroups are given by their Cayley table
     alone (see :meth:`from_table`), built at construction from the parent's
-    table; their :attr:`elements`, the right regular permutations of degree
+    table (G/1 and G as its own subgroup share the parent's rows, uncopied);
+    their :attr:`elements`, the right regular permutations of degree
     |G/N| or |H|, are built on first read.
 
     The group is immutable after construction and safe to share read-only
@@ -178,9 +179,14 @@ class FiniteGroup:
             or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
         ):
             raise GroupError("not a group table with identity 0 on 0..n-1")
+        return cls._over_table(tuple(rows), gens)
+
+    @classmethod
+    def _over_table(cls, rows: tuple[array, ...], gens: Sequence[int]) -> "FiniteGroup":
+        """The group over ``rows`` uncopied and unchecked: some group's own table."""
         group = cls.__new__(cls)
-        group.degree, group.identity_index, group._elements, group._index = n, 0, None, None
-        group._gens, group._table, group._cache = tuple(gens), tuple(rows), {}
+        group.degree, group.identity_index, group._elements, group._index = len(rows), 0, None, None
+        group._gens, group._table, group._cache = tuple(gens), rows, {}
         return group
 
     # -- basic queries ---------------------------------------------------

@@ -311,7 +311,8 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
 
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient G/N, given by its Cayley table on the right cosets of N, plus
-    the projection map from G element indices to quotient element indices."""
+    the projection map from G element indices to quotient element indices.
+    G/1 is G with the identity map, over G's own table rows, uncopied."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
     key = ("quotient", N.member_indices)
@@ -321,9 +322,11 @@ def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[i
         if len(reps) * N.order != G.order:
             raise GroupError("coset action has the wrong image size")
         rows = G.multiplication_table()
+        gens = tuple(dict.fromkeys(coset_of[g] for g in G.generating_indices())) or (0,)
+        if N.is_trivial():
+            return FiniteGroup._over_table(rows, gens), tuple(coset_of)
         table = [array("H", [coset_of[rows[r][t]] for t in reps]) for r in reps]
-        gens = dict.fromkeys(coset_of[g] for g in G.generating_indices()) or (0,)
-        return FiniteGroup.from_table(table, tuple(gens)), tuple(coset_of)
+        return FiniteGroup.from_table(table, gens), tuple(coset_of)
 
     return _cached(G, key, compute)
 
@@ -339,7 +342,7 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
 
     The new canonical order is the order of H's member indices, and the
     new group records the greedy generators it would choose itself, found
-    by closing in G's table.
+    by closing in G's table.  G itself shares G's rows, with ``pos`` the identity.
     """
     key = ("as_group", H.member_indices)
 
@@ -347,8 +350,10 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
         members = H.member_indices
         pos = {m: i for i, m in enumerate(members)}
         rows = G.multiplication_table()
-        table = [array("H", [pos[rows[x][y]] for y in members]) for x in members]
         gens = tuple(pos[g] for g in subgroup_gens(G, H))
+        if H.is_whole():
+            return FiniteGroup._over_table(rows, gens), pos
+        table = [array("H", [pos[rows[x][y]] for y in members]) for x in members]
         return FiniteGroup.from_table(table, gens), pos
 
     return _cached(G, key, compute)

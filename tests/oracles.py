@@ -77,6 +77,24 @@ def oracle_coset_action(G: FiniteGroup, N: tuple[int, ...], g: int) -> Permutati
     return Permutation(coset_id[r * G.elements[g]] for r in reps)
 
 
+def oracle_gallagher_equality(G: FiniteGroup, N: tuple[int, ...]) -> bool:
+    """Whether every coset gN has centralizer in G/N equal to the image of
+    C_G(g): the cosets cN of every c commuting with g against the cosets hN
+    with [g, h] in N, cosets and commutators formed in G."""
+    nset = set(N)
+    coset = [frozenset(G.mul(x, n) for n in N) for x in range(G.order)]
+    for g in range(G.order):
+        image = {coset[c] for c in range(G.order) if G.mul(g, c) == G.mul(c, g)}
+        commuting_mod_n = {
+            coset[h]
+            for h in range(G.order)
+            if G.mul(G.mul(G.inv(g), G.inv(h)), G.mul(g, h)) in nset
+        }
+        if image != commuting_mod_n:
+            return False
+    return True
+
+
 def oracle_regular_representation(G: FiniteGroup, members: tuple[int, ...]) -> tuple:
     """A subgroup's right regular representation in canonical order: x moves
     the position of member y to that of y * x, products by composition."""

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from commprob.cli import (
     main,
     parse_group_file,
 )
+import commprob
 from commprob.isomorphism import are_isomorphic
 from commprob.perm import generate_group
 
@@ -182,6 +187,11 @@ def test_isoclinic_group_files(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["isoclinic"] is False
 
 
+def test_isoclinic_without_first_group_exit_2(capsys):
+    assert main(["isoclinic", "--name2", "A4"]) == 2
+    assert "exactly one of a catalog --name or a group file path" in _single_line_error(capsys)
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     entries = json.loads(capsys.readouterr().out)
@@ -332,3 +342,29 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert "d: 5/8" in out
     assert "HOLDS" in out
+
+
+# what the `commprob` console script runs
+ENTRY = "import sys; from commprob.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("argv", [["analyze", "--name", "A4"], ["catalog", "list"]])
+def test_closed_stdout_exit_2(argv, unbuffered):
+    # buffered, the write fails at the final flush; unbuffered, inside print()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(commprob.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

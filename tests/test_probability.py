@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commprob.perm import GroupError
+from commprob.perm import GroupError, Permutation, generate_group
 from commprob.probability import (
     average_class_size,
     check_character_bound,
@@ -24,7 +24,7 @@ from commprob.structure import (
     subgroup_generated,
 )
 
-from oracles import oracle_commuting_pairs
+from oracles import oracle_commuting_pairs, oracle_gallagher_equality
 
 
 def test_class_count_examples(cat):
@@ -125,6 +125,7 @@ def test_gallagher_requires_normal(cat):
 
 def test_gallagher_equality_iff_class_count_product(cat):
     # the centralizer condition is equivalent to k(G) = k(G/N) k(N)
+    unequal = 0
     for name, G in cat.items():
         if G.order > 100:
             continue
@@ -133,6 +134,28 @@ def test_gallagher_equality_iff_class_count_product(cat):
             assert res.holds, name
             product = res.class_count_quotient * res.class_count_normal
             assert res.equality == (res.class_count_group == product), name
+            assert res.equality == oracle_gallagher_equality(G, N.member_indices), name
+            unequal += not res.equality
+    assert unequal > 0  # both outcomes occur, so neither check is vacuous
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 2))
+    return generate_group(
+        degree, [Permutation(draw(st.permutations(list(range(degree))))) for _ in range(k)]
+    )
+
+
+@given(small_groups())
+@settings(deadline=None, max_examples=30)
+def test_random_groups_gallagher_equality_matches_oracle(G):
+    normals = normal_subgroups(G)
+    assert normals[0].is_trivial() and normals[-1].is_whole()
+    for N in normals:
+        expected = oracle_gallagher_equality(G, N.member_indices)
+        assert gallagher_check(G, N).equality == expected, N.order
 
 
 def test_probability_submultiplicative_catalog_wide(cat):

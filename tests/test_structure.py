@@ -7,6 +7,7 @@ from commprob.structure import (
     NotNormal,
     Subgroup,
     as_group,
+    as_group_with_map,
     center,
     centralizer,
     classes_inside,
@@ -416,6 +417,20 @@ def test_standalone_generators_match_oracle(cat):
             recorded = [Q.index_of(actions[g]) for g in G.generating_indices()]
             expected = tuple(dict.fromkeys(recorded)) or (Q.identity_index,)
             assert Q.generating_indices() == expected, name
+
+
+def test_identity_maps_share_the_parent_table(cat):
+    for name in ("C1", "A4", "S4"):
+        G = cat[name]
+        rows = G.multiplication_table()
+        Q, pi = quotient_with_map(G, subgroup_generated(G, []))
+        assert Q.multiplication_table() is rows and pi == tuple(range(G.order)), name
+        H, pos = as_group_with_map(G, Subgroup(G, range(G.order)))
+        assert H.multiplication_table() is rows and pos == {i: i for i in range(G.order)}, name
+    a4 = cat["A4"]
+    klein = klein_subgroup(a4)
+    assert quotient(a4, klein).multiplication_table() is not a4.multiplication_table()
+    assert as_group(a4, klein).multiplication_table() is not a4.multiplication_table()
 
 
 # -- property tests -------------------------------------------------------------
