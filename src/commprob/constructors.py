@@ -8,19 +8,24 @@ h |-> (n |-> n^h), and the product multiplies as
 
 so that inside the product the conjugate of an embedded N-element by an
 embedded H-element agrees with the action.  The action map H -> Aut(N) is
-a homomorphism with respect to left-to-right composition.  Products are
-realized by the right regular representation on |N| * |H| points.
+a homomorphism with respect to left-to-right composition.  Cyclic groups,
+Q8 and products N : H are their own right regular representations, given
+by their Cayley tables (:meth:`FiniteGroup.from_table`); (a, h) has index
+a * |H| + h, so N and H embed as a -> a * |H| and h -> h.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .perm import (
     DEFAULT_ORDER_CAP,
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupError,
+    OrderCapExceeded,
     Permutation,
     generate_group,
 )
@@ -30,13 +35,14 @@ DEFAULT_AUT_CAP = 32
 
 
 def cyclic(n: int) -> FiniteGroup:
-    """The cyclic group of order n, acting on n points by rotation."""
+    """The cyclic group of order n, given by its table (i + j) mod n:
+    element i rotates n points by i."""
     if n < 1:
         raise GroupError("cyclic group order must be a positive integer")
-    if n == 1:
-        return generate_group(1, [])
-    rot = Permutation((i + 1) % n for i in range(n))
-    return generate_group(n, [rot])
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"group closure exceeded the order cap of {DEFAULT_ORDER_CAP}")
+    rows = [array("H", [(i + j) % n for j in range(n)]) for i in range(n)]
+    return FiniteGroup.from_table(rows, (1,) if n > 1 else ())
 
 
 def direct_product(
@@ -153,51 +159,6 @@ def _action_table(
     return psi  # type: ignore[return-value]
 
 
-def _semidirect_with_maps(
-    N: FiniteGroup,
-    H: FiniteGroup,
-    action: ActionSpec,
-    max_order: int = DEFAULT_ORDER_CAP,
-) -> tuple[FiniteGroup, list[int], list[int]]:
-    """Semidirect product plus the element indices of the embedded copies
-    of N and H inside it."""
-    order = N.order * H.order
-    if order > max_order:
-        raise GroupError(
-            f"product order {order} exceeds the order cap of {max_order}"
-        )
-    psi = _action_table(N, H, action)
-    nh = H.order
-    n_table = N.multiplication_table()
-    h_table = H.multiplication_table()
-
-    def element(a: int, h: int) -> Permutation:
-        # right multiplication by (a, h): point (b, k) -> (psi_h(b) * a, k * h)
-        psi_h = psi[h]
-        images = [0] * order
-        for b in range(N.order):
-            nb = n_table[psi_h[b]][a]
-            base = b * nh
-            for k in range(nh):
-                images[base + k] = nb * nh + h_table[k][h]
-        return Permutation(images)
-
-    elements = []
-    keyed: dict[tuple[int, int], Permutation] = {}
-    for a in range(N.order):
-        for h in range(H.order):
-            p = element(a, h)
-            elements.append(p)
-            keyed[(a, h)] = p
-    h_id = H.identity_index
-    gens = [keyed[(a, h_id)] for a in N.generating_indices()]
-    gens += [keyed[(N.identity_index, h)] for h in H.generating_indices()]
-    G = FiniteGroup(order, elements, generator_perms=gens or None)
-    n_embed = [G.index_of(keyed[(a, H.identity_index)]) for a in range(N.order)]
-    h_embed = [G.index_of(keyed[(N.identity_index, h)]) for h in range(H.order)]
-    return G, n_embed, h_embed
-
-
 def semidirect_product(
     N: FiniteGroup,
     H: FiniteGroup,
@@ -205,8 +166,28 @@ def semidirect_product(
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
     """The semidirect product of N by H under the given action; contains a
-    normal copy of N with a complement isomorphic to H."""
-    return _semidirect_with_maps(N, H, action, max_order)[0]
+    normal copy of N with a complement isomorphic to H.
+
+    Its table is written from N's and H's: (a, h) * (a', h') is
+    (a^h' * a', h * h') at index a * |H| + h.  Orders above ``max_order``
+    or :data:`MAX_GROUP_ORDER` are refused before anything is built.
+    """
+    order = N.order * H.order
+    cap = min(max_order, MAX_GROUP_ORDER)
+    if order > cap:
+        raise GroupError(f"product order {order} exceeds the order cap of {cap}")
+    psi = _action_table(N, H, action)
+    nh = H.order
+    n_table = N.multiplication_table()
+    rows = []
+    for a in range(N.order):
+        conj = [n_table[p[a]] for p in psi]  # N's row of a^h', one per h'
+        for h_row in H.multiplication_table():
+            rows.append(
+                array("H", [conj[k][b] * nh + h_row[k] for b in range(N.order) for k in range(nh)])
+            )
+    gens = [a * nh for a in N.generating_indices()] + list(H.generating_indices())
+    return FiniteGroup.from_table(rows, gens)
 
 
 # -- named groups --------------------------------------------------------------
@@ -254,17 +235,8 @@ def _quaternion_with_units() -> tuple[FiniteGroup, dict[tuple[int, int], int]]:
 
     units = [(s, u) for s in range(2) for u in range(4)]
     idx = {u: i for i, u in enumerate(units)}
-
-    def regular(g: tuple[int, int]) -> Permutation:
-        return Permutation(idx[mul(x, g)] for x in units)
-
-    group = generate_group(8, [regular((0, 1)), regular((0, 2))])
-    where = {u: group.index_of(regular(u)) for u in units}
-    return group, where
-
-
-def _quaternion() -> FiniteGroup:
-    return _quaternion_with_units()[0]
+    rows = [array("H", [idx[mul(x, y)] for y in units]) for x in units]
+    return FiniteGroup.from_table(rows, (idx[(0, 1)], idx[(0, 2)])), idx
 
 
 def _c7_c3() -> FiniteGroup:
@@ -314,11 +286,8 @@ def _c5c5_c15() -> FiniteGroup:
     n55 = _c5c5()
     e1, e2 = _c5c5_gens(n55)
     shear = automorphism_from_generator_images(n55, [e1, e2], [e1, n55.mul(e1, e2)])
-    heis, n_embed, h_embed = _semidirect_with_maps(
-        n55, cyclic(5), ActionSpec((1,), (shear,))
-    )
-    x = n_embed[e2]
-    y = h_embed[1]
+    heis = semidirect_product(n55, cyclic(5), ActionSpec((1,), (shear,)))
+    x, y = e2 * 5, 1  # the embedded e2 and generator of C5
     xy_inv = heis.inv(heis.mul(x, y))
     beta = automorphism_from_generator_images(heis, [x, y], [y, xy_inv])
     return semidirect_product(heis, cyclic(3), ActionSpec((1,), (beta,)))
@@ -326,9 +295,8 @@ def _c5c5_c15() -> FiniteGroup:
 
 def _q8_c3() -> FiniteGroup:
     """Q8 : C3 with the order-3 automorphism cycling i -> j -> k."""
-    q8, where = _quaternion_with_units()
-    i, j = where[(0, 1)], where[(0, 2)]
-    k = where[(0, 3)]
+    q8, idx = _quaternion_with_units()
+    i, j, k = idx[(0, 1)], idx[(0, 2)], idx[(0, 3)]
     act = automorphism_from_generator_images(q8, [i, j], [j, k])
     return semidirect_product(q8, cyclic(3), ActionSpec((1,), (act,)))
 
@@ -351,7 +319,7 @@ def _build_catalog_spec() -> None:
     _CATALOG_SPEC.append(("C5xC5", 25, _c5c5))
     _CATALOG_SPEC.append(("S3", 6, lambda: _symmetric(3)))
     _CATALOG_SPEC.append(("D8", 8, lambda: _dihedral(8)))
-    _CATALOG_SPEC.append(("Q8", 8, _quaternion))
+    _CATALOG_SPEC.append(("Q8", 8, lambda: _quaternion_with_units()[0]))
     _CATALOG_SPEC.append(("D10", 10, lambda: _dihedral(10)))
     _CATALOG_SPEC.append(("A4", 12, _alternating4))
     _CATALOG_SPEC.append(("D12", 12, lambda: _dihedral(12)))

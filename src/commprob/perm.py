@@ -112,11 +112,13 @@ class FiniteGroup:
     default order cap of 5000.  Element indices must fit in 16 bits, so
     groups of order above :data:`MAX_GROUP_ORDER` are refused.
 
-    Quotients and standalone subgroups are given by their Cayley table
-    alone (see :meth:`from_table`), built at construction from the parent's
-    table (G/1 and G as its own subgroup share the parent's rows, uncopied);
-    their :attr:`elements`, the right regular permutations of degree
-    |G/N| or |H|, are built on first read.
+    Groups that are their own right regular representation are given by
+    their Cayley table alone (see :meth:`from_table`): quotients and
+    standalone subgroups, with tables read off the parent's at construction
+    (G/1 and G as its own subgroup share the parent's rows, uncopied), and
+    the cyclic, quaternion and semidirect catalog groups, with tables written
+    by their constructors.  Their :attr:`elements`, the right regular
+    permutations of degree |G|, are built on first read.
 
     The group is immutable after construction and safe to share read-only
     across threads: two threads that both use it first may each build the

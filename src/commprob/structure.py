@@ -456,18 +456,21 @@ def _is_prime(n: int) -> bool:
 def is_supersolvable(G: FiniteGroup) -> bool:
     """True iff some chain 1 = N0 < N1 < ... < Nk = G of normal subgroups of
     G has every index [N(i+1) : N(i)] prime (Huppert, *Endliche Gruppen I*,
-    VI.9).  Searched as a path up :func:`normal_subgroups`: M is reached if
-    it is trivial or contains a reached N of prime index in M."""
+    VI.9).  Every maximal such chain is a chief series, and by Jordan-Hoelder
+    for operator groups all chief series have the same factors, so one chain
+    decides: walking :func:`normal_subgroups` downwards from G, the first
+    subgroup properly inside the current term is a largest normal subgroup
+    under it and becomes the next term."""
 
     def compute():
-        reached: list[Subgroup] = []
-        for M in normal_subgroups(G):
-            if M.is_trivial() or any(
-                _is_prime(M.order // N.order) and all(x in M for x in N.member_indices)
-                for N in reached
-            ):
-                reached.append(M)
-        return reached[-1].is_whole()
+        lattice = normal_subgroups(G)
+        current = lattice[-1]
+        for M in reversed(lattice):
+            if M.order < current.order and all(x in current for x in M.member_indices):
+                if not _is_prime(current.order // M.order):
+                    return False
+                current = M
+        return True
 
     return _cached(G, "supersolvable", compute)
 

@@ -10,7 +10,7 @@ counterexample.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .perm import FiniteGroup, element_order
@@ -65,13 +65,7 @@ class Verdict:
         return self.precondition_ok and self.applicable and not self.holds
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "precondition_ok": self.precondition_ok,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,26 +90,12 @@ class GroupReport:
     theorem_verdicts: list[Verdict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "order": self.order,
-            "class_count": self.class_count,
-            "d": _frac(self.d),
-            "acs": _frac(self.acs),
-            "parity": self.parity,
-            "center_order": self.center_order,
-            "derived_order": self.derived_order,
-            "derived_index": self.derived_index,
-            "abelian": self.abelian,
-            "nilpotent": self.nilpotent,
-            "supersolvable": self.supersolvable,
-            "solvable": self.solvable,
-            "stem": self.stem,
-            "isoclinic_to_A4": self.isoclinic_to_A4,
-            "quotient_by_center_isoclinic_to_A4": self.quotient_by_center_isoclinic_to_A4,
-            "isoclinic_to_C5C5C3": self.isoclinic_to_C5C5C3,
-            "verdicts": [v.to_dict() for v in self.theorem_verdicts],
-        }
+        """The fields in declaration order, ``d`` and ``acs`` as "p/q" and
+        ``theorem_verdicts`` last, under the key ``verdicts``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["d"], out["acs"] = _frac(self.d), _frac(self.acs)
+        out["verdicts"] = [v.to_dict() for v in out.pop("theorem_verdicts")]
+        return out
 
 
 def _frac(x: Fraction) -> str:
@@ -198,14 +178,6 @@ def _is_klein(G: FiniteGroup, N: Subgroup) -> bool:
     return N.order == 4 and all(element_order(G, m) <= 2 for m in N.member_indices)
 
 
-def _subgroup_is_abelian(G: FiniteGroup, N: Subgroup) -> bool:
-    return all(
-        G.mul(a, b) == G.mul(b, a)
-        for a in N.member_indices
-        for b in N.member_indices
-    )
-
-
 def verify_class_size_theorem(G: FiniteGroup, N: Subgroup, s: int) -> Verdict:
     """If d(G) > 1/s and G splits over the abelian normal nontrivial N,
     some nontrivial class of G inside N has size at most s - 1.
@@ -222,7 +194,7 @@ def verify_class_size_theorem(G: FiniteGroup, N: Subgroup, s: int) -> Verdict:
         return Verdict(stmt, False, True, False, "precondition: N is not normal")
     if N.is_trivial():
         return Verdict(stmt, False, True, False, "precondition: N is trivial")
-    if not _subgroup_is_abelian(G, N):
+    if not is_abelian(as_group(G, N)):
         return Verdict(stmt, False, True, False, "precondition: N is not abelian")
     if N.is_whole():
         return Verdict(stmt, False, True, False, "precondition: N is the whole group")
@@ -360,7 +332,7 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
     for N in normal_subgroups(G):
         if N.is_trivial() or N.is_whole():
             continue
-        if not _subgroup_is_abelian(G, N):
+        if not is_abelian(as_group(G, N)):
             continue
         for s in s_values:
             verdicts.append(verify_class_size_theorem(G, N, s))

@@ -210,6 +210,10 @@ def test_construct_semidirect_builds_a4(tmp_path, capsys):
          "--action", str(action), "--out", str(out)]
     )
     assert code == 0
+    assert out.read_bytes() == (
+        b"12\n6 7 8 9 10 11 0 1 2 3 4 5\n3 4 5 0 1 2 9 10 11 6 7 8\n"
+        b"1 2 0 7 8 6 10 11 9 4 5 3\n"
+    )
     degree, gens = parse_group_file(out.read_text())
     G = generate_group(degree, gens)
     assert G.order == 12

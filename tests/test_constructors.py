@@ -1,10 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from commprob.constructors import (
     ActionSpec,
-    _semidirect_with_maps,
     automorphism_from_generator_images,
     automorphism_group,
     catalog_keys,
@@ -16,7 +16,7 @@ from commprob.constructors import (
     trivial_action,
 )
 from commprob.isomorphism import are_isomorphic
-from commprob.perm import GroupError, Permutation
+from commprob.perm import GroupError, OrderCapExceeded, Permutation
 from commprob.probability import class_count, commuting_probability
 from commprob.structure import (
     Subgroup,
@@ -26,12 +26,20 @@ from commprob.structure import (
 
 from oracles import gl_order
 
+# every catalog key's degree, element images, generators and last table row
+CATALOG_SHA256 = "7a4b4f8d2445dffaff4640fa0151a56367835dd2879a42d8298b02799f3754c1"
+
 
 def test_cyclic_small():
     assert cyclic(1).order == 1
     assert cyclic(2).order == 2
     with pytest.raises(GroupError):
         cyclic(0)
+
+
+def test_cyclic_above_order_cap_refused():
+    with pytest.raises(OrderCapExceeded, match="exceeded the order cap of 5000"):
+        cyclic(5001)
 
 
 def test_cyclic_15_element_orders():
@@ -109,7 +117,10 @@ def test_semidirect_klein_c3_is_a4(cat):
 def test_semidirect_embeds_normal_factor(cat):
     v4 = cat["C2xC2"]
     act = automorphism_from_generator_images(v4, [1, 2], [2, 3])
-    G, n_embed, h_embed = _semidirect_with_maps(v4, cyclic(3), ActionSpec((1,), (act,)))
+    G = semidirect_product(v4, cyclic(3), ActionSpec((1,), (act,)))
+    # (a, h) has index a * |H| + h
+    n_embed = [a * 3 for a in range(v4.order)]
+    h_embed = list(range(3))
     N = Subgroup(G, n_embed)
     assert is_normal(G, N)
     H = find_complement(G, N)
@@ -190,6 +201,16 @@ def test_catalog_regeneration_deterministic(cat):
         ], name
 
 
+def test_catalog_golden_dump(cat):
+    digest = hashlib.sha256()
+    for name in catalog_keys():
+        G = cat[name]
+        images = [p.images for p in G.elements]
+        last_row = G.multiplication_table()[-1].tolist()
+        digest.update(repr((name, G.degree, images, G.generating_indices(), last_row)).encode())
+    assert digest.hexdigest() == CATALOG_SHA256
+
+
 def test_quaternion_element_orders(cat):
     orders = sorted(p.order() for p in cat["Q8"].elements)
     assert orders == [1, 2] + [4] * 6
@@ -223,3 +244,12 @@ def test_fixed_point_free_c3_actions_agree(cat):
 def test_order_cap_on_products():
     with pytest.raises(GroupError):
         direct_product(cyclic(100), cyclic(100), max_order=5000)
+    with pytest.raises(GroupError, match="order cap of 5000"):
+        semidirect_product(cyclic(100), cyclic(100), trivial_action(cyclic(100), cyclic(100)))
+
+
+def test_semidirect_above_16_bit_limit_refused_whatever_max_order():
+    # 257 * 256 = 65792 > 65536: refused before any row is built
+    N, H = cyclic(257), cyclic(256)
+    with pytest.raises(GroupError, match="order cap of 65536"):
+        semidirect_product(N, H, trivial_action(N, H), max_order=10**6)
