@@ -48,11 +48,13 @@ def cyclic(n: int) -> FiniteGroup:
 def direct_product(
     A: FiniteGroup, B: FiniteGroup, max_order: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
-    """A x B acting on the disjoint union of the two point sets."""
-    if A.order * B.order > max_order:
-        raise GroupError(
-            f"product order {A.order * B.order} exceeds the order cap of {max_order}"
-        )
+    """A x B acting on the disjoint union of the two point sets.  Orders
+    above ``max_order`` or :data:`MAX_GROUP_ORDER` are refused before any
+    element is built."""
+    order = A.order * B.order
+    cap = min(max_order, MAX_GROUP_ORDER)
+    if order > cap:
+        raise GroupError(f"product order {order} exceeds the order cap of {cap}")
     da = A.degree
 
     def pair(a: Permutation, b: Permutation) -> Permutation:

@@ -113,17 +113,17 @@ class FiniteGroup:
     groups of order above :data:`MAX_GROUP_ORDER` are refused.
 
     Groups that are their own right regular representation are given by
-    their Cayley table alone (see :meth:`from_table`): quotients and
-    standalone subgroups, with tables read off the parent's at construction
-    (G/1 and G as its own subgroup share the parent's rows, uncopied), and
-    the cyclic, quaternion and semidirect catalog groups, with tables written
-    by their constructors.  Their :attr:`elements`, the right regular
-    permutations of degree |G|, are built on first read.
+    their Cayley table alone (see :meth:`from_table`, which also checks that
+    the generators generate it): quotients and standalone subgroups, with
+    tables read off the parent's (G/1 and G as its own subgroup share its
+    rows), and the cyclic, quaternion and semidirect catalog groups, with
+    tables written by their constructors.  Their :attr:`elements`, the right
+    regular permutations of degree |G|, are built on first read.
 
     The group is immutable after construction and safe to share read-only
     across threads: two threads that both use it first may each build the
-    table, but they store identical rows.  Other derived data (inverses,
-    structural invariants) is memoized on the instance the same way.
+    table, but they store identical rows.  Other derived data (inverses, by
+    one walk over the generators; invariants) is memoized the same way.
     """
 
     __slots__ = ("degree", "identity_index", "_elements", "_index", "_gens", "_table", "_cache")
@@ -169,7 +169,8 @@ class FiniteGroup:
         """The group with Cayley table ``rows`` (16-bit, row 0 the identity's)
         and generators ``gens``: element c is the right regular permutation
         ``a -> rows[a][c]``, which starts with c, so canonical order is index
-        order.  Refuses a non-Latin square; associativity is not tested."""
+        order.  Refuses a non-Latin square, and generators out of range or
+        not generating the table's group; associativity is not tested."""
         n = len(rows)
         ident = list(range(n))
         if (
@@ -181,6 +182,8 @@ class FiniteGroup:
             or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
         ):
             raise GroupError("not a group table with identity 0 on 0..n-1")
+        if any(not 0 <= g < n for g in gens) or -1 in _inverses(rows, gens, 0):
+            raise GroupError(f"not a group table generated by {list(gens)}")
         return cls._over_table(tuple(rows), gens)
 
     @classmethod
@@ -243,8 +246,8 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         invs = self._cache.get("inv")
         if invs is None:
-            invs = tuple(r.index(self.identity_index) for r in self.multiplication_table())
-            self._cache["inv"] = invs
+            rows, gens = self.multiplication_table(), self.generating_indices()
+            self._cache["inv"] = invs = _inverses(rows, gens, self.identity_index)
         return invs[i]
 
     def conjugate(self, x: int, g: int) -> int:
@@ -303,6 +306,23 @@ class FiniteGroup:
         return self._gens  # type: ignore[return-value]
 
 
+def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:
+    """Inverses by one walk from the identity ``e`` over the generators, as
+    (x g)^-1 = g^-1 x^-1; elements the generators do not reach get -1."""
+    invs = [-1] * len(rows)
+    invs[e] = e
+    steps = [(g, rows[rows[g].index(e)]) for g in gens]  # g and the row of g^-1
+    walk = [e]
+    for x in walk:  # also visits what the loop appends
+        row_x, inv_x = rows[x], invs[x]
+        for g, row_g_inv in steps:
+            y = row_x[g]
+            if invs[y] < 0:
+                invs[y] = row_g_inv[inv_x]
+                walk.append(y)
+    return tuple(invs)
+
+
 def generate_group(
     degree: int,
     generators: Sequence[Permutation],
@@ -310,8 +330,9 @@ def generate_group(
 ) -> FiniteGroup:
     """Breadth-first closure of {identity} | generators under composition.
 
-    Raises :class:`OrderCapExceeded` (naming the cap) if the closure grows
-    past ``max_order`` elements, and :class:`GroupError` on degree mismatch.
+    Raises :class:`OrderCapExceeded` (naming the cap) as soon as the closure
+    grows past ``max_order`` or :data:`MAX_GROUP_ORDER` elements, and
+    :class:`GroupError` on degree mismatch.
     """
     if degree < 1:
         raise GroupError("degree must be a positive integer")
@@ -320,6 +341,7 @@ def generate_group(
             raise GroupError(
                 f"generator degree {g.degree} does not match group degree {degree}"
             )
+    cap = min(max_order, MAX_GROUP_ORDER)
     gens = list(dict.fromkeys(generators))
     ident = Permutation.identity(degree)
     seen: dict[tuple[int, ...], Permutation] = {ident.images: ident}
@@ -330,10 +352,8 @@ def generate_group(
             for g in gens:
                 q = p * g
                 if q.images not in seen:
-                    if len(seen) >= max_order:
-                        raise OrderCapExceeded(
-                            f"group closure exceeded the order cap of {max_order}"
-                        )
+                    if len(seen) >= cap:
+                        raise OrderCapExceeded(f"group closure exceeded the order cap of {cap}")
                     seen[q.images] = q
                     nxt.append(q)
         frontier = nxt

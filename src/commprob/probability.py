@@ -13,12 +13,12 @@ from fractions import Fraction
 from .perm import FiniteGroup, GroupError
 from .structure import (
     Subgroup,
-    as_group,
     class_size_map,
     conjugacy_classes,
     derived_subgroup,
     is_normal,
     quotient_with_map,
+    subgroup_class_count,
 )
 
 DEFAULT_ORACLE_CAP = 500
@@ -91,7 +91,7 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
     if not is_normal(G, N):
         raise GroupError("gallagher_check requires a normal subgroup")
     Q, pi = quotient_with_map(G, N)
-    k_g, k_q, k_n = class_count(G), class_count(Q), class_count(as_group(G, N))
+    k_g, k_q, k_n = class_count(G), class_count(Q), subgroup_class_count(G, N)
     holds = k_g <= k_q * k_n
     rows, size_g, size_q = G.multiplication_table(), class_size_map(G), class_size_map(Q)
     equality = all(

@@ -90,20 +90,29 @@ def _check_index(G: FiniteGroup, x: int) -> None:
 # -- subgroup generation -----------------------------------------------------
 
 
-def _close_indices(G: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
-    """Member indices of the subgroup generated by the seeds, ascending."""
+def _closure(G: FiniteGroup, seeds: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Members (ascending) and greedy generators of the subgroup generated by
+    the seeds, in order; a seed inside the closure so far is skipped.  Old
+    members are multiplied by a new generator, new members by every one."""
     rows = G.multiplication_table()
-    gens = sorted(set(seeds))
-    seen = {G.identity_index, *gens}
-    frontier = list(seen)
-    for x in frontier:  # also visits what the loop appends
-        row_x = rows[x]
-        for g in gens:
-            y = row_x[g]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return tuple(sorted(seen))
+    members = [G.identity_index]
+    seen = set(members)
+    gens: list[int] = []
+    for s in seeds:
+        if s in seen:
+            continue
+        gens.append(s)
+        new = [rows[x][s] for x in members]
+        seen.update(new)
+        for x in new:  # also visits what the loop appends
+            row_x = rows[x]
+            for g in gens:
+                y = row_x[g]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        members += new
+    return tuple(sorted(members)), tuple(gens)
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -111,20 +120,14 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     seeds = list(seeds)
     for s in seeds:
         _check_index(G, s)
-    return Subgroup(G, _close_indices(G, seeds))
+    return Subgroup(G, _closure(G, seeds)[0])
 
 
 def subgroup_gens(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
-    """Greedy minimal generating sequence of a subgroup, in index order."""
-    chosen: list[int] = []
-    closed = {G.identity_index}
-    for i in H.member_indices:
-        if len(closed) == H.order:
-            break
-        if i not in closed:
-            chosen.append(i)
-            closed = set(_close_indices(G, chosen))
-    return tuple(chosen)
+    """Greedy minimal generating sequence of a subgroup, in index order: each
+    member not in the subgroup generated by those before it.  Found in one
+    closure over H's members in G's table and memoized on G."""
+    return _cached(G, ("gens", H.member_indices), lambda: _closure(G, H.member_indices)[1])
 
 
 # -- centers, centralizers, classes ------------------------------------------
@@ -153,12 +156,41 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     )
 
 
-def is_abelian(G: FiniteGroup) -> bool:
-    def compute():
-        gens = G.generating_indices()
-        return all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
+def _commute(G: FiniteGroup, gens: Sequence[int]) -> bool:
+    rows = G.multiplication_table()
+    return all(rows[a][b] == rows[b][a] for a in gens for b in gens)
 
-    return _cached(G, "abelian", compute)
+
+def is_abelian(G: FiniteGroup) -> bool:
+    return _cached(G, "abelian", lambda: _commute(G, G.generating_indices()))
+
+
+def subgroup_is_abelian(G: FiniteGroup, H: Subgroup) -> bool:
+    """Whether H is abelian: its generators commute, in G's table."""
+    return _commute(G, subgroup_gens(G, H))
+
+
+def _orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -> list[list[int]]:
+    """The orbits of the elements of ``domain`` under conjugation by the
+    conjugators, read off G's table rows; each starts with the first of its
+    members in ``domain``, and they come in the order of those members."""
+    rows = G.multiplication_table()
+    steps = [(rows[G.inv(g)], g) for g in conjugators]
+    seen = bytearray(G.order)
+    orbits = []
+    for i in domain:
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for x in orbit:  # also visits what the loop appends
+            for row_g_inv, g in steps:
+                y = rows[row_g_inv[x]][g]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbits.append(orbit)
+    return orbits
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
@@ -166,29 +198,16 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     representative.  Orbits are grown by conjugating with generators only."""
 
     def compute():
-        gens = G.generating_indices()
-        seen = [False] * G.order
-        classes = []
-        for i in range(G.order):
-            if seen[i]:
-                continue
-            orbit = {i}
-            seen[i] = True
-            frontier = [i]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = G.conjugate(x, g)
-                        if not seen[y]:
-                            seen[y] = True
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            classes.append(ConjugacyClass(orbit))
-        return classes
+        return [ConjugacyClass(o) for o in _orbits(G, range(G.order), G.generating_indices())]
 
     return _cached(G, "classes", compute)
+
+
+def subgroup_class_count(G: FiniteGroup, H: Subgroup) -> int:
+    """k(H), the number of conjugacy classes of H: its orbits under
+    conjugation by its own generators, in G's table.  Memoized on G."""
+    key = ("class_count", H.member_indices)
+    return _cached(G, key, lambda: len(_orbits(G, H.member_indices, subgroup_gens(G, H))))
 
 
 def class_size_map(G: FiniteGroup) -> tuple[int, ...]:
@@ -208,24 +227,22 @@ def classes_inside(G: FiniteGroup, N: Subgroup) -> list[ConjugacyClass]:
     """The G-classes entirely contained in the normal subgroup N."""
     if not is_normal(G, N):
         raise NotNormal("classes_inside requires a normal subgroup")
-    members = set(N.member_indices)
-    return [c for c in conjugacy_classes(G) if c.representative in members]
+    return [c for c in conjugacy_classes(G) if c.representative in N]
 
 
 # -- normality and the normal subgroup lattice --------------------------------
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    """True iff gHg^-1 = H for all g (tested on generators of both sides)."""
+    """True iff gHg^-1 = H for all g (tested on generators of both sides); memoized."""
     if H.parent is not G:
         raise GroupError("subgroup does not belong to this group")
-    members = set(H.member_indices)
-    gens = G.generating_indices()
-    return all(
-        G.conjugate(h, g) in members
-        for h in subgroup_gens(G, H)
-        for g in gens
-    )
+
+    def compute():
+        gens = G.generating_indices()
+        return all(G.conjugate(h, g) in H for h in subgroup_gens(G, H) for g in gens)
+
+    return _cached(G, ("normal", H.member_indices), compute)
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -236,39 +253,37 @@ def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 def _conjugation_closure(
     G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]
 ) -> Subgroup:
-    """Smallest subgroup containing the seeds, normalized by the conjugators."""
-    current = set(_close_indices(G, seeds))
-    while True:
-        extra = {
-            y
-            for x in current
-            for g in conjugators
-            if (y := G.conjugate(x, g)) not in current
-        }
-        if not extra:
-            return Subgroup(G, current)
-        current = set(_close_indices(G, current | extra))
+    """Smallest subgroup containing the seeds, normalized by the conjugators:
+    the subgroup generated by the seeds' orbits under conjugation."""
+    return Subgroup(G, _closure(G, [x for o in _orbits(G, seeds, conjugators) for x in o])[0])
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups, sorted by order then member set.  Each is a join
     of atoms (the subgroups generated by single conjugacy classes), and the
     join of normal A and B is the product set AB, so the atoms are closed
-    under joining with one atom at a time."""
+    under joining with one atom at a time.  AB is grown as a union of right
+    cosets A y, one for each y in B not yet covered: |AB| + |B| lookups.
+    No standalone group is built per N: :func:`subgroup_gens`,
+    :func:`subgroup_class_count` and :func:`subgroup_is_abelian` work in G's table."""
 
     def compute():
         rows = G.multiplication_table()
         atoms = {(G.identity_index,)}
-        atoms.update(_close_indices(G, c.members) for c in conjugacy_classes(G))
+        atoms.update(_closure(G, c.members)[0] for c in conjugacy_classes(G))
         atoms = [b for b in atoms if len(b) < G.order]
         found = set(atoms) | {tuple(range(G.order))}
         frontier = atoms
         while frontier:
             nxt = []
             for a in frontier:
+                a_rows = [rows[x] for x in a]
                 for b in atoms:
-                    joined = tuple(sorted({rows[x][y] for x in a for y in b}))
-                    if joined not in found:
+                    covered = set(a)
+                    for y in b:
+                        if y not in covered:
+                            covered.update([row[y] for row in a_rows])
+                    if (joined := tuple(sorted(covered))) not in found:
                         found.add(joined)
                         if len(joined) < G.order:
                             nxt.append(joined)
@@ -378,9 +393,7 @@ def _commutator_subgroup(G: FiniteGroup, a_gens: Sequence[int], b_gens: Sequence
     available from G itself; both uses below (derived series terms and lower
     central series terms) involve subgroups normal in G.
     """
-    seeds = {commutator(G, a, b) for a in a_gens for b in b_gens}
-    seeds.discard(G.identity_index)
-    return normal_closure(G, seeds)
+    return normal_closure(G, {commutator(G, a, b) for a in a_gens for b in b_gens})
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -396,9 +409,7 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 def _derived_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, computed inside the parent."""
     hg = subgroup_gens(G, H)
-    seeds = {commutator(G, a, b) for a in hg for b in hg}
-    seeds.discard(G.identity_index)
-    return _conjugation_closure(G, seeds, hg)
+    return _conjugation_closure(G, {commutator(G, a, b) for a in hg for b in hg}, hg)
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
@@ -503,7 +514,7 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
             covered = {pi[x] for x in current}
             first_open = min(q for q in range(target) if q not in covered)
             for cand in coset_members[first_open]:
-                grown = _close_indices(G, set(current) | {cand})
+                grown = _closure(G, (*current, cand))[0]
                 if len(grown) > target or target % len(grown) != 0:
                     continue
                 if len({pi[x] for x in grown}) != len(grown):

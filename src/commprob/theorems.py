@@ -29,7 +29,6 @@ from .probability import (
 from .structure import (
     Subgroup,
     _cached,
-    as_group,
     center,
     classes_inside,
     derived_subgroup,
@@ -41,6 +40,7 @@ from .structure import (
     is_supersolvable,
     normal_subgroups,
     quotient,
+    subgroup_is_abelian,
 )
 
 S_RANGE = (2, 3, 4, 5, 6)
@@ -194,7 +194,7 @@ def verify_class_size_theorem(G: FiniteGroup, N: Subgroup, s: int) -> Verdict:
         return Verdict(stmt, False, True, False, "precondition: N is not normal")
     if N.is_trivial():
         return Verdict(stmt, False, True, False, "precondition: N is trivial")
-    if not is_abelian(as_group(G, N)):
+    if not subgroup_is_abelian(G, N):
         return Verdict(stmt, False, True, False, "precondition: N is not abelian")
     if N.is_whole():
         return Verdict(stmt, False, True, False, "precondition: N is the whole group")
@@ -325,14 +325,14 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
             )
         )
         dq = commuting_probability(quotient(G, N))
-        dn = commuting_probability(as_group(G, N))
+        dn = Fraction(res.class_count_normal, N.order)
         verdicts.append(
             Verdict(f"d(G)<=d(G/N)d(N);{ndesc}", True, d <= dq * dn)
         )
     for N in normal_subgroups(G):
         if N.is_trivial() or N.is_whole():
             continue
-        if not is_abelian(as_group(G, N)):
+        if not subgroup_is_abelian(G, N):
             continue
         for s in s_values:
             verdicts.append(verify_class_size_theorem(G, N, s))

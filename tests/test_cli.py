@@ -23,6 +23,25 @@ A4_FILE = "4\n1 2 0 3\n1 0 3 2\n"
 # change to this value is a regression, not an update
 VERIFY_ALL_SHA256 = "aea612bbe96f71fa48e646a27ca317b54ccbffa15140b33f52957ac558349665"
 
+# SHA-256 of `analyze <path>` stdout for group files outside the catalog, by
+# the relative path read (the report's name is that path); outputs are fixed
+# as above.  S6's path and hash are those of the benchmark's seed-0 `s6` run.
+ANALYZE_GOLDEN = {
+    ".perfbench_work/s6.grp": (
+        "6\n1 2 3 4 5 0\n1 0 2 3 4 5\n",
+        "b001ac90d142f6e3e4b3fe3728ce8bf9dd623a486f875801056b47994cad9d1d",
+    ),
+    "c2_5.grp": (  # C2^5: five disjoint transpositions of 10 points
+        "10\n"
+        "1 0 2 3 4 5 6 7 8 9\n"
+        "0 1 3 2 4 5 6 7 8 9\n"
+        "0 1 2 3 5 4 6 7 8 9\n"
+        "0 1 2 3 4 5 7 6 8 9\n"
+        "0 1 2 3 4 5 6 7 9 8\n",
+        "596d47467187a3e43518697e8a09af44c3a79a611786151893006e27105edd6a",
+    ),
+}
+
 
 # -- group files -----------------------------------------------------------------
 
@@ -332,6 +351,17 @@ def test_verify_all_golden_output(capsys):
     assert main(["verify", "--all", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("path", sorted(ANALYZE_GOLDEN))
+def test_analyze_golden_output(path, tmp_path, monkeypatch, capsys):
+    text, sha = ANALYZE_GOLDEN[path]
+    monkeypatch.chdir(tmp_path)
+    Path(path).parent.mkdir(exist_ok=True)
+    Path(path).write_text(text)
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
 @pytest.mark.parametrize("cap", ["0", "-5", "65537", "100000"])

@@ -16,7 +16,8 @@ from commprob.constructors import (
     trivial_action,
 )
 from commprob.isomorphism import are_isomorphic
-from commprob.perm import GroupError, OrderCapExceeded, Permutation
+from commprob import constructors, perm
+from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.probability import class_count, commuting_probability
 from commprob.structure import (
     Subgroup,
@@ -253,3 +254,28 @@ def test_semidirect_above_16_bit_limit_refused_whatever_max_order():
     N, H = cyclic(257), cyclic(256)
     with pytest.raises(GroupError, match="order cap of 65536"):
         semidirect_product(N, H, trivial_action(N, H), max_order=10**6)
+
+
+def test_products_above_16_bit_limit_refused_before_building(monkeypatch):
+    # with the index limit lowered to 20, C11 x C10 (order 110) is refused
+    # before it has built as many permutations as it has elements
+    monkeypatch.setattr(perm, "MAX_GROUP_ORDER", 20)
+    monkeypatch.setattr(constructors, "MAX_GROUP_ORDER", 20)
+    a, b = cyclic(11), cyclic(10)
+    ga, gb = a.elements[1], b.elements[1]  # build these before counting
+    c11 = Permutation(ga.images + tuple(range(11, 21)))
+    c10 = Permutation(tuple(range(11)) + tuple(v + 11 for v in gb.images))
+    built = [0]
+    init = Permutation.__init__
+
+    def counting_init(self, images):
+        built[0] += 1
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    with pytest.raises(GroupError, match="order cap of 20"):
+        direct_product(a, b, max_order=10**6)
+    assert built[0] == 0
+    with pytest.raises(OrderCapExceeded, match="order cap of 20"):
+        generate_group(21, [c11, c10], max_order=10**6)
+    assert built[0] < 110

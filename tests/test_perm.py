@@ -157,11 +157,20 @@ def test_order_above_16_bit_limit_refused():
         [[0, 1], [1, 5]],  # an entry outside 0..n-1
         [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # a row that is not a permutation
         [[0, 1, 2], [1, 0, 2], [2, 1, 0]],  # rows permute, columns 1 and 2 do not
+        [[0, 1], [1, 0]],  # C2's table, but no generators
     ],
 )
 def test_non_group_table_refused(rows):
     with pytest.raises(GroupError, match="not a group table"):
         FiniteGroup.from_table([array("H", r) for r in rows], ())
+
+
+@pytest.mark.parametrize("gens", [(), (1,), (1, 6), (-1,)])
+def test_table_generators_must_generate(gens):
+    # element 1 of S3 is a transposition: it generates a subgroup of order 2
+    rows = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])]).multiplication_table()
+    with pytest.raises(GroupError, match="not a group table generated by"):
+        FiniteGroup.from_table(rows, gens)
 
 
 @st.composite

@@ -24,9 +24,13 @@ from commprob.structure import (
     normal_subgroups,
     quotient,
     quotient_with_map,
+    subgroup_class_count,
     subgroup_generated,
+    subgroup_gens,
+    subgroup_is_abelian,
 )
 from commprob.isomorphism import are_isomorphic
+from commprob.probability import class_count
 
 from oracles import (
     oracle_center,
@@ -209,6 +213,16 @@ def test_is_normal_examples(cat):
     assert is_normal(a4, Subgroup(a4, range(a4.order)))
     stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
     assert not is_normal(a4, stab)
+    # is_normal is memoized: S4's normal Klein subgroup first, then two
+    # subgroups of the same order that are not normal
+    s4 = cat["S4"]
+    for images, normal in (
+        ([[1, 0, 3, 2], [2, 3, 0, 1]], True),
+        ([[1, 0, 2, 3], [0, 1, 3, 2]], False),
+        ([[1, 2, 3, 0]], False),
+    ):
+        H = subgroup_generated(s4, [s4.index_of(Permutation(p)) for p in images])
+        assert H.order == 4 and is_normal(s4, H) == normal
 
 
 def test_normal_subgroups_examples(cat):
@@ -419,6 +433,25 @@ def test_standalone_generators_match_oracle(cat):
             assert Q.generating_indices() == expected, name
 
 
+def check_in_table_invariants(G):
+    """k(N), "N abelian" and N's greedy generators, read in G's table, against
+    N as its own group and the oracles on it."""
+    for N in normal_subgroups(G):
+        H = as_group(G, N)
+        k = subgroup_class_count(G, N)
+        assert k == class_count(H) == len(oracle_conjugacy_classes(H))
+        abelian = subgroup_is_abelian(G, N)
+        assert abelian == is_abelian(H) == (len(oracle_center(H)) == H.order)
+        oracle_gens = oracle_greedy_generators(H)
+        assert subgroup_gens(G, N) == tuple(N.member_indices[i] for i in oracle_gens)
+
+
+def test_in_table_subgroup_invariants_match_oracles(cat):
+    for name, G in cat.items():
+        if G.order <= 100:
+            check_in_table_invariants(G)
+
+
 def test_identity_maps_share_the_parent_table(cat):
     for name in ("C1", "A4", "S4"):
         G = cat[name]
@@ -482,3 +515,25 @@ def test_random_groups_supersolvable_and_lattice_match_oracles(G):
     assert is_supersolvable(G) == oracle_is_supersolvable(G)
     got = [n.member_indices for n in normal_subgroups(G)]
     assert sorted(got) == oracle_normal_subgroups(G)
+
+
+@st.composite
+def groups_of_degree_2_to_5(draw):
+    degree = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    gens = [Permutation(draw(st.permutations(list(range(degree))))) for _ in range(k)]
+    return generate_group(degree, gens)
+
+
+@given(groups_of_degree_2_to_5())
+@settings(deadline=None, max_examples=30)
+def test_random_groups_in_table_invariants_match_oracles(G):
+    check_in_table_invariants(G)
+    # the commutator closures: G' against the oracle, and G'' (found inside
+    # G) against the oracle on G' as its own group
+    series = derived_series(G)
+    assert derived_subgroup(G).member_indices == oracle_derived_members(G)
+    if len(series) > 2:
+        D = series[1]
+        inner = oracle_derived_members(as_group(G, D))
+        assert series[2].member_indices == tuple(D.member_indices[i] for i in inner)
