@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .perm import (
@@ -27,6 +28,7 @@ from .perm import (
     GroupError,
     OrderCapExceeded,
     Permutation,
+    _fill_rows,
     generate_group,
 )
 from .isomorphism import extend_generator_map, iter_isomorphisms
@@ -41,7 +43,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupError("cyclic group order must be a positive integer")
     if n > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(f"group closure exceeded the order cap of {DEFAULT_ORDER_CAP}")
-    rows = [array("H", [(i + j) % n for j in range(n)]) for i in range(n)]
+    first = array("H", range(n))
+    rows = [first[i:] + first[:i] for i in range(n)]
     return FiniteGroup.from_table(rows, (1,) if n > 1 else ())
 
 
@@ -113,13 +116,15 @@ def trivial_action(N: FiniteGroup, H: FiniteGroup) -> ActionSpec:
 def _validate_automorphism(N: FiniteGroup, img: tuple[int, ...], label: str) -> None:
     if sorted(img) != list(range(N.order)):
         raise GroupError(f"action image for {label} is not a bijection of N's indices")
-    for a in range(N.order):
-        for b in range(N.order):
-            if img[N.mul(a, b)] != N.mul(img[a], img[b]):
-                raise GroupError(
-                    f"action image for {label} is not an automorphism: "
-                    f"image of {a}*{b} disagrees with image({a})*image({b})"
-                )
+    rows, take_img = N.multiplication_table(), itemgetter(*img)
+    for a, row_a in enumerate(rows):
+        row_img_a = rows[img[a]]
+        if itemgetter(*row_a)(img) != take_img(row_img_a):  # img(a*b) vs img(a)*img(b), all b
+            b = next(b for b in range(N.order) if img[row_a[b]] != row_img_a[img[b]])
+            raise GroupError(
+                f"action image for {label} is not an automorphism: "
+                f"image of {a}*{b} disagrees with image({a})*image({b})"
+            )
 
 
 def _action_table(
@@ -170,8 +175,10 @@ def semidirect_product(
     """The semidirect product of N by H under the given action; contains a
     normal copy of N with a complement isomorphic to H.
 
-    Its table is written from N's and H's: (a, h) * (a', h') is
-    (a^h' * a', h * h') at index a * |H| + h.  Orders above ``max_order``
+    Only the rows of its generators, (a, 1) for a generating N and (1, h)
+    for h generating H, are written from N's and H's tables: (a, h) * (a', h')
+    is (a^h' * a', h * h') at index a * |H| + h.  Every other row is read off
+    those by right multiplication (``perm._fill_rows``).  Orders above ``max_order``
     or :data:`MAX_GROUP_ORDER` are refused before anything is built.
     """
     order = N.order * H.order
@@ -179,16 +186,20 @@ def semidirect_product(
     if order > cap:
         raise GroupError(f"product order {order} exceeds the order cap of {cap}")
     psi = _action_table(N, H, action)
-    nh = H.order
-    n_table = N.multiplication_table()
-    rows = []
-    for a in range(N.order):
-        conj = [n_table[p[a]] for p in psi]  # N's row of a^h', one per h'
-        for h_row in H.multiplication_table():
-            rows.append(
-                array("H", [conj[k][b] * nh + h_row[k] for b in range(N.order) for k in range(nh)])
-            )
+    nh, n_table, h_table = H.order, N.multiplication_table(), H.multiplication_table()
+
+    def row(g: int) -> array:  # (a, h) * (a', h') = (a^h' * a', h * h')
+        a, h = divmod(g, nh)
+        conj, h_row = [n_table[p[a]] for p in psi], h_table[h]  # N's row of a^h', per h'
+        return array("H", [conj[k][b] * nh + h_row[k] for b in range(N.order) for k in range(nh)])
+
     gens = [a * nh for a in N.generating_indices()] + list(H.generating_indices())
+    rows: list = [None] * order
+    rows[0] = array("H", range(order))
+    for g in gens:
+        rows[g] = row(g)
+    if _fill_rows(rows, gens, 0) != order:
+        raise GroupError("the generators of N and H do not generate the product")
     return FiniteGroup.from_table(rows, gens)
 
 

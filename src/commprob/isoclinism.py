@@ -17,7 +17,6 @@ from .structure import (
     _cached,
     as_group_with_map,
     center,
-    commutator,
     derived_subgroup,
     quotient_with_map,
 )
@@ -55,28 +54,29 @@ def commutator_pairing(G: FiniteGroup) -> PairingStructure:
         Z = center(G)
         Q, pi = quotient_with_map(G, Z)
         D, dmap = as_group_with_map(G, derived_subgroup(G))
+        rows, inv = G.multiplication_table(), tuple(map(G.inv, range(G.order)))
         reps = [-1] * Q.order
         for i in range(G.order):
             if reps[pi[i]] < 0:
                 reps[pi[i]] = i
 
-        pairing = [
-            tuple(dmap[commutator(G, reps[q1], reps[q2])] for q2 in range(Q.order))
-            for q1 in range(Q.order)
-        ]
+        def comm(a: int, b: int) -> int:  # index in D of [a, b] = a^-1 b^-1 a b
+            return dmap[rows[rows[inv[a]][inv[b]]][rows[a][b]]]
+
+        pairing = [tuple(comm(r1, r2) for r2 in reps) for r1 in reps]
         for g1 in range(G.order):
             row = pairing[pi[g1]]
             for q2 in range(Q.order):
-                if dmap[commutator(G, g1, reps[q2])] != row[q2]:
+                if comm(g1, reps[q2]) != row[q2]:
                     raise GroupError("commutator pairing is not well defined")
         for g2 in range(G.order):
             q2 = pi[g2]
             for q1 in range(Q.order):
-                if dmap[commutator(G, reps[q1], g2)] != pairing[q1][q2]:
+                if comm(reps[q1], g2) != pairing[q1][q2]:
                     raise GroupError("commutator pairing is not well defined")
         return PairingStructure(Q, D, tuple(pairing))
 
-    return _cached(G, "pairing", compute)
+    return _cached(G, ("pairing", G.generating_indices()), compute)  # Q's gens are G's
 
 
 def is_stem(G: FiniteGroup) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from operator import itemgetter
+from struct import Struct
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 5000
@@ -109,16 +110,19 @@ class FiniteGroup:
     use (the first :meth:`mul` or :meth:`multiplication_table` call), not
     at construction.  It is stored as one 16-bit ``array('H')`` row per
     element, 2 * |G|^2 bytes in all: about 1 MB for S6, about 50 MB at the
-    default order cap of 5000.  Element indices must fit in 16 bits, so
+    default order cap of 5000.  Only the generators' rows are composed from
+    permutations; every other row is the row of a known element gathered
+    at the entries of a generator's row (right multiplication), one C-level
+    ``itemgetter`` per generator.  Element indices must fit in 16 bits, so
     groups of order above :data:`MAX_GROUP_ORDER` are refused.
 
     Groups that are their own right regular representation are given by
     their Cayley table alone (see :meth:`from_table`, which also checks that
     the generators generate it): quotients and standalone subgroups, with
     tables read off the parent's (G/1 and G as its own subgroup share its
-    rows), and the cyclic, quaternion and semidirect catalog groups, with
-    tables written by their constructors.  Their :attr:`elements`, the right
-    regular permutations of degree |G|, are built on first read.
+    rows and memo), and the cyclic, quaternion and semidirect catalog groups,
+    with tables written by their constructors.  Their :attr:`elements`, the
+    right regular permutations of degree |G|, are built on first read.
 
     The group is immutable after construction and safe to share read-only
     across threads: two threads that both use it first may each build the
@@ -126,7 +130,9 @@ class FiniteGroup:
     one walk over the generators; invariants) is memoized the same way.
     """
 
-    __slots__ = ("degree", "identity_index", "_elements", "_index", "_gens", "_table", "_cache")
+    __slots__ = (
+        "degree", "identity_index", "_elements", "_index", "_gens", "_table", "_cache", "_hash",
+    )
 
     def __init__(
         self,
@@ -163,6 +169,7 @@ class FiniteGroup:
             self._gens = tuple(self._index[g.images] for g in generator_perms)
         self._table: tuple[array, ...] | None = None
         self._cache: dict = {}
+        self._hash: int | None = None
 
     @classmethod
     def from_table(cls, rows: Sequence[array], gens: Sequence[int]) -> "FiniteGroup":
@@ -187,11 +194,15 @@ class FiniteGroup:
         return cls._over_table(tuple(rows), gens)
 
     @classmethod
-    def _over_table(cls, rows: tuple[array, ...], gens: Sequence[int]) -> "FiniteGroup":
-        """The group over ``rows`` uncopied and unchecked: some group's own table."""
+    def _over_table(
+        cls, rows: tuple[array, ...], gens: Sequence[int], cache: dict | None = None
+    ) -> "FiniteGroup":
+        """The group over ``rows`` uncopied and unchecked: some group's own
+        table.  Passing that group's ``_cache`` makes the two share it."""
         group = cls.__new__(cls)
         group.degree, group.identity_index, group._elements, group._index = len(rows), 0, None, None
-        group._gens, group._table, group._cache = tuple(gens), rows, {}
+        group._gens, group._table, group._hash = tuple(gens), rows, None
+        group._cache = {} if cache is None else cache
         return group
 
     # -- basic queries ---------------------------------------------------
@@ -228,11 +239,9 @@ class FiniteGroup:
         )
 
     def __hash__(self) -> int:
-        h = self._cache.get("hash")
-        if h is None:
-            h = hash((self.degree, tuple(p.images for p in self.elements)))
-            self._cache["hash"] = h
-        return h
+        if self._hash is None:  # not in _cache, which groups over one table may share
+            self._hash = hash((self.degree, tuple(p.images for p in self.elements)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} degree={self.degree}>"
@@ -259,20 +268,22 @@ class FiniteGroup:
         call, then returned as stored.
 
         Only generator rows are composed from permutations, |G| products
-        each; every other row is read off known ones, since
-        ``row[h*k] == [row[h][z] for z in row[k]]``.  A group built without
-        generators gets the greedy ones (see :meth:`generating_indices`) as
-        a by-product.
+        each; every other row is filled by right multiplication from the
+        identity (:func:`_fill_rows`): ``row[k*g][z] == row[k][row[g][z]]``,
+        one gather per row through one ``itemgetter`` per generator.  A group
+        built without generators gets the greedy ones (see
+        :meth:`generating_indices`) as a by-product: each element outside the
+        subgroup filled so far becomes a generator, in index order.
         """
         if self._table is not None:
             return self._table
         n = self.order
         rows: list = [None] * n
         rows[self.identity_index] = array("H", range(n))
-        known = [self.identity_index]
         gens: list[int] = []
+        reached = 1
         for g in self._gens or range(n):
-            if len(known) == n:
+            if reached == n:
                 break
             if rows[g] is not None:  # already in the subgroup generated so far
                 continue
@@ -280,15 +291,8 @@ class FiniteGroup:
             take = itemgetter(*self.elements[g].images)
             rows[g] = array("H", [self._index[take(q.images)] for q in self.elements])
             gens.append(g)
-            known.append(g)
-            for k in known:  # also visits what the loop appends
-                for h in gens:
-                    row_h = rows[h]
-                    hk = row_h[k]
-                    if rows[hk] is None:
-                        rows[hk] = array("H", [row_h[z] for z in rows[k]])
-                        known.append(hk)
-        if len(known) != n:
+            reached = _fill_rows(rows, gens, self.identity_index)
+        if reached != n:
             raise GroupError("generating set does not generate the group")
         if not self._gens:
             self._gens = tuple(gens)
@@ -304,6 +308,33 @@ class FiniteGroup:
         if not self._gens:
             self.multiplication_table()
         return self._gens  # type: ignore[return-value]
+
+
+def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
+    """Fill the rows of every element the generators reach from the identity
+    ``e`` by right multiplication, ``row[k*g][z] == row[k][row[g][z]]``: the
+    row of k*g is row k gathered at the entries of row g, by one
+    ``itemgetter`` per generator, packed to bytes by one ``Struct`` (several
+    times cheaper than ``array`` converting the tuple).  Needs the rows of ``e``
+    and of ``gens`` filled; rows already filled are kept.  The identity is
+    skipped as a generator: it reaches nothing new, and on C1 its one-index
+    ``itemgetter`` would return a scalar.  Returns how many elements are
+    reached."""
+    pack = Struct(f"{len(rows)}H").pack  # native 16-bit, as array("H") stores
+    steps = [(g, itemgetter(*rows[g])) for g in dict.fromkeys(gens) if g != e]
+    seen = bytearray(len(rows))
+    seen[e] = 1
+    walk = [e]
+    for k in walk:  # also visits what the loop appends
+        row_k = rows[k]
+        for g, take_g in steps:
+            kg = row_k[g]
+            if not seen[kg]:
+                seen[kg] = 1
+                walk.append(kg)
+                if rows[kg] is None:
+                    rows[kg] = array("H", pack(*take_g(row_k)))
+    return len(walk)
 
 
 def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:

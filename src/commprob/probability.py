@@ -13,6 +13,7 @@ from fractions import Fraction
 from .perm import FiniteGroup, GroupError
 from .structure import (
     Subgroup,
+    _cached,
     class_size_map,
     conjugacy_classes,
     derived_subgroup,
@@ -81,23 +82,45 @@ class GallagherResult:
     class_count_normal: int
 
 
+def _centralizer_masks(G: FiniteGroup) -> list[tuple[int, int]]:
+    """One (g, C_G(g)) pair per class of G, g its representative and C_G(g)
+    an int with bit x set for each x commuting with g; memoized on G."""
+
+    def compute():
+        rows, n = G.multiplication_table(), G.order
+        return [
+            (g, _bits(x for x in range(n) if rows[g][x] == rows[x][g]))
+            for g in (c.representative for c in conjugacy_classes(G))
+        ]
+
+    return _cached(G, "centralizer_masks", compute)
+
+
+def _bits(indices) -> int:
+    """The int with exactly the bits at ``indices`` set."""
+    mask = 0
+    for x in indices:
+        mask |= 1 << x
+    return mask
+
+
 def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
     """Check k(G) <= k(G/N) * k(N) for normal N, and report whether the
     centralizer of every coset gN in G/N is the image of the centralizer of g.
     That image always lies in C_{G/N}(gN) and has order |C_G(g)| / |C_N(g)|,
     so the two are equal iff |N| * |cl_{G/N}(gN)| == |cl_G(g)| * |C_N(g)|.
     Both sides are invariant under conjugation: one representative per class
-    of G is tested, at |N| lookups each."""
+    of G is tested, with |C_N(g)| counted as the bits of C_G(g) and N, both
+    as int bit masks."""
     if not is_normal(G, N):
         raise GroupError("gallagher_check requires a normal subgroup")
     Q, pi = quotient_with_map(G, N)
     k_g, k_q, k_n = class_count(G), class_count(Q), subgroup_class_count(G, N)
     holds = k_g <= k_q * k_n
-    rows, size_g, size_q = G.multiplication_table(), class_size_map(G), class_size_map(Q)
+    size_g, size_q, n_mask = class_size_map(G), class_size_map(Q), _bits(N.member_indices)
     equality = all(
-        N.order * size_q[pi[g]]
-        == size_g[g] * sum(rows[g][n] == rows[n][g] for n in N.member_indices)
-        for g in (c.representative for c in conjugacy_classes(G))
+        N.order * size_q[pi[g]] == size_g[g] * (c_mask & n_mask).bit_count()
+        for g, c_mask in _centralizer_masks(G)
     )
     return GallagherResult(holds, equality, k_g, k_q, k_n)
 

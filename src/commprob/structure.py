@@ -20,7 +20,9 @@ class NotNormal(GroupError):
 
 class Subgroup:
     """A subset of a parent group's element indices closed under its
-    multiplication.  Compared and hashed by member indices."""
+    multiplication.  Compared and hashed by member indices; groups that
+    share one ``_cache`` (G, G/1 and G as its own subgroup) count as one
+    parent, since they share their table and what is memoized on it."""
 
     __slots__ = ("parent", "member_indices", "_mset")
 
@@ -47,7 +49,7 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
-            and self.parent is other.parent
+            and self.parent._cache is other.parent._cache
             and self.member_indices == other.member_indices
         )
 
@@ -206,6 +208,8 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
 def subgroup_class_count(G: FiniteGroup, H: Subgroup) -> int:
     """k(H), the number of conjugacy classes of H: its orbits under
     conjugation by its own generators, in G's table.  Memoized on G."""
+    if H.is_whole():
+        return len(conjugacy_classes(G))
     key = ("class_count", H.member_indices)
     return _cached(G, key, lambda: len(_orbits(G, H.member_indices, subgroup_gens(G, H))))
 
@@ -235,7 +239,7 @@ def classes_inside(G: FiniteGroup, N: Subgroup) -> list[ConjugacyClass]:
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """True iff gHg^-1 = H for all g (tested on generators of both sides); memoized."""
-    if H.parent is not G:
+    if H.parent._cache is not G._cache:
         raise GroupError("subgroup does not belong to this group")
 
     def compute():
@@ -327,10 +331,12 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient G/N, given by its Cayley table on the right cosets of N, plus
     the projection map from G element indices to quotient element indices.
-    G/1 is G with the identity map, over G's own table rows, uncopied."""
+    G/1 is G with the identity map, over G's own table rows, uncopied, and
+    sharing G's memo.  The quotient's generators are the images of G's, so
+    the memo key carries them: a group sharing G's memo may have others."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
-    key = ("quotient", N.member_indices)
+    key = ("quotient", N.member_indices, G.generating_indices())
 
     def compute():
         coset_of, reps = _coset_data(G, N)
@@ -339,7 +345,7 @@ def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[i
         rows = G.multiplication_table()
         gens = tuple(dict.fromkeys(coset_of[g] for g in G.generating_indices())) or (0,)
         if N.is_trivial():
-            return FiniteGroup._over_table(rows, gens), tuple(coset_of)
+            return FiniteGroup._over_table(rows, gens, G._cache), tuple(coset_of)
         table = [array("H", [coset_of[rows[r][t]] for t in reps]) for r in reps]
         return FiniteGroup.from_table(table, gens), tuple(coset_of)
 
@@ -357,7 +363,8 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
 
     The new canonical order is the order of H's member indices, and the
     new group records the greedy generators it would choose itself, found
-    by closing in G's table.  G itself shares G's rows, with ``pos`` the identity.
+    by closing in G's table.  G itself shares G's rows and memo, with ``pos``
+    the identity.
     """
     key = ("as_group", H.member_indices)
 
@@ -367,7 +374,7 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
         rows = G.multiplication_table()
         gens = tuple(pos[g] for g in subgroup_gens(G, H))
         if H.is_whole():
-            return FiniteGroup._over_table(rows, gens), pos
+            return FiniteGroup._over_table(rows, gens, G._cache), pos
         table = [array("H", [pos[rows[x][y]] for y in members]) for x in members]
         return FiniteGroup.from_table(table, gens), pos
 

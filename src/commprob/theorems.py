@@ -10,7 +10,7 @@ counterexample.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .perm import FiniteGroup, element_order
@@ -65,7 +65,15 @@ class Verdict:
         return self.precondition_ok and self.applicable and not self.holds
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, as ``dataclasses.asdict`` gives
+        them, without its recursive deep copy (every field is a str or bool)."""
+        return {
+            "statement": self.statement,
+            "applicable": self.applicable,
+            "holds": self.holds,
+            "precondition_ok": self.precondition_ok,
+            "note": self.note,
+        }
 
 
 @dataclass

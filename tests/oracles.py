@@ -191,3 +191,27 @@ def oracle_commuting_pairs(G: FiniteGroup) -> int:
         for y in range(G.order)
         if G.mul(x, y) == G.mul(y, x)
     )
+
+
+def oracle_semidirect_table(N: FiniteGroup, H: FiniteGroup, gen_images) -> list[list[int]]:
+    """The full table of N : H, every entry from (a, h) * (a', h') =
+    (a^h' * a', h * h') at index a * |H| + h.  ``gen_images`` maps each acting
+    generator of H to the permutation of N's indices it acts by; the action
+    of every h composes them along a breadth-first word for h."""
+    act = {H.identity_index: tuple(range(N.order))}
+    frontier = [H.identity_index]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, img in gen_images.items():
+                y = H.mul(x, g)
+                if y not in act:
+                    act[y] = tuple(img[v] for v in act[x])  # act by x first, then g
+                    nxt.append(y)
+        frontier = nxt
+    nh = H.order
+    return [
+        [N.mul(act[k][a], b) * nh + H.mul(h, k) for b in range(N.order) for k in range(nh)]
+        for a in range(N.order)
+        for h in range(nh)
+    ]

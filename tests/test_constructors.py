@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commprob.constructors import (
     ActionSpec,
@@ -15,7 +17,7 @@ from commprob.constructors import (
     semidirect_product,
     trivial_action,
 )
-from commprob.isomorphism import are_isomorphic
+from commprob.isomorphism import are_isomorphic, iter_isomorphisms
 from commprob import constructors, perm
 from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.probability import class_count, commuting_probability
@@ -25,7 +27,7 @@ from commprob.structure import (
     is_normal,
 )
 
-from oracles import gl_order
+from oracles import gl_order, oracle_semidirect_table
 
 # every catalog key's degree, element images, generators and last table row
 CATALOG_SHA256 = "7a4b4f8d2445dffaff4640fa0151a56367835dd2879a42d8298b02799f3754c1"
@@ -153,6 +155,60 @@ def test_semidirect_rejects_non_generating_set(cat):
     with pytest.raises(GroupError) as err:
         semidirect_product(v4, c4, ActionSpec((2,), (ident,)))
     assert "generate" in str(err.value)
+
+
+def test_semidirect_unfilled_row_is_a_group_error():
+    # N's recorded generator 2 generates only {0, 2} of C4, so right
+    # multiplication from the generator rows leaves rows of the product empty
+    N = perm.FiniteGroup._over_table(cyclic(4).multiplication_table(), (2,))
+    H = cyclic(2)
+    with pytest.raises(GroupError, match="do not generate"):
+        semidirect_product(N, H, trivial_action(N, H))
+
+
+def table_lists(G):
+    return [row.tolist() for row in G.multiplication_table()]
+
+
+def test_catalog_semidirect_products_match_oracle_table(monkeypatch):
+    built = []
+    original = constructors.semidirect_product
+
+    def recording(N, H, action, **kwargs):
+        G = original(N, H, action, **kwargs)
+        built.append((N, H, action, G))
+        return G
+
+    monkeypatch.setattr(constructors, "semidirect_product", recording)
+    for key in catalog_keys():
+        named(key)
+    assert len(built) == 6  # C7:C3, Q8:C3, C2^3:C7, (C5xC5):C3, and two for (C5xC5):C15
+    for N, H, action, G in built:
+        images = dict(zip(action.acting_generators, action.automorphism_images))
+        assert table_lists(G) == oracle_semidirect_table(N, H, images)
+
+
+SMALL_NORMAL = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2", "C3xC3", "C2xC4", "Q8")
+
+
+@st.composite
+def cyclic_actions(draw):
+    """A small N, an automorphism of it, and a cyclic H whose generator acts
+    by it: |H| is a multiple of the automorphism's order."""
+    N = named(draw(st.sampled_from(SMALL_NORMAL)))
+    auts = list(iter_isomorphisms(N, N))
+    phi = tuple(draw(st.sampled_from(auts)))
+    order = Permutation(phi).order()
+    return N, cyclic(order * draw(st.integers(1, 3))), phi
+
+
+@given(cyclic_actions())
+@settings(deadline=None, max_examples=25)
+def test_semidirect_table_matches_oracle_on_cyclic_actions(spec):
+    N, H, phi = spec
+    gens = (1,) if H.order > 1 else ()
+    G = semidirect_product(N, H, ActionSpec(gens, (phi,) * len(gens)))
+    assert table_lists(G) == oracle_semidirect_table(N, H, dict.fromkeys(gens, phi))
 
 
 def test_named_examples():

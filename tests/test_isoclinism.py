@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+from commprob import isoclinism
 from commprob.constructors import named
 from commprob.isoclinism import (
     are_isoclinic,
@@ -13,9 +16,9 @@ from commprob.isomorphism import (
     find_isomorphism,
     iter_isomorphisms,
 )
-from commprob.perm import Permutation, generate_group
+from commprob.perm import GroupError, Permutation, generate_group
 from commprob.probability import commuting_probability
-from commprob.structure import is_supersolvable
+from commprob.structure import center, is_supersolvable, normal_subgroups, quotient
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -160,3 +163,27 @@ def test_stem_examples(cat):
     assert is_stem(cat["Q8"])
     assert is_stem(cat["C1"])
     assert not is_stem(cat["C6"])
+
+
+# -- commutator pairing ---------------------------------------------------------
+
+
+def test_pairing_over_a_non_central_subgroup_is_refused(monkeypatch):
+    # A4's Klein subgroup is normal but not central: commutators are not
+    # constant on its cosets, and both well-definedness loops still check
+    a4 = named("A4")
+    klein = next(n for n in normal_subgroups(a4) if n.order == 4)
+    monkeypatch.setattr(isoclinism, "center", lambda G: klein)
+    with pytest.raises(GroupError, match="not well defined"):
+        commutator_pairing(a4)
+
+
+def test_pairing_of_g_mod_1_shares_the_memo_of_g():
+    # S3 has a trivial center, so S3/Z(S3) is S3/1; its center, read from
+    # S3's memo, has S3 as parent and serves S3/1 as well
+    s3 = named("S3")
+    q = quotient(s3, center(s3))
+    assert q._cache is s3._cache
+    pairing = commutator_pairing(q)
+    assert pairing is commutator_pairing(s3)
+    assert are_isoclinic(q, named("S3"))

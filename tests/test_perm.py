@@ -11,6 +11,7 @@ from commprob.perm import (
     GroupError,
     OrderCapExceeded,
     Permutation,
+    _fill_rows,
     element_order,
     generate_group,
 )
@@ -201,6 +202,45 @@ def test_kernel_matches_permutation_products(spec):
     bare = FiniteGroup(degree, els)
     assert bare.generating_indices() == oracle_greedy_generators(bare)
     assert bare.multiplication_table() == G.multiplication_table()
+
+
+def composed_table(G):
+    return [[G.index_of(p * q) for q in G.elements] for p in G.elements]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_kernel_on_the_smallest_groups(degree):
+    # C1 and C2, the identity listed as a generator: on C1 its one-index
+    # itemgetter would return a scalar, and it never reaches a new row
+    ident = Permutation.identity(degree)
+    G = generate_group(degree, [ident, Permutation(reversed(range(degree)))])
+    assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
+    rows = [array("H", range(degree))] + [None] * (degree - 1)
+    if degree == 2:
+        rows[1] = array("H", [1, 0])
+    assert _fill_rows(rows, [0, degree - 1, 0], 0) == degree
+    assert [row.tolist() for row in rows] == composed_table(G)
+
+
+def test_kernel_skips_identity_generators():
+    # the identity listed among the generators, first and again later
+    ident = Permutation.identity(4)
+    G = generate_group(4, [ident, *A4_GENS, ident])
+    assert G.generating_indices()[0] == G.identity_index
+    assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
+    bare = FiniteGroup(4, G.elements, generator_perms=[ident, A4_GENS[0], ident, A4_GENS[1]])
+    assert bare.multiplication_table() == G.multiplication_table()
+
+
+def test_kernel_fills_only_what_the_generators_reach():
+    # rows of S3 filled from one transposition: the kernel reaches 2 of 6
+    S3 = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])])
+    full = S3.multiplication_table()
+    t = S3.index_of(Permutation([1, 0, 2]))
+    rows = [None] * 6
+    rows[0], rows[t] = full[0], full[t]
+    assert _fill_rows(rows, [t], 0) == 2
+    assert [i for i, r in enumerate(rows) if r is not None] == sorted({0, t})
 
 
 perm_strategy = st.integers(2, 6).flatmap(

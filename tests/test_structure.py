@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
+from commprob.constructors import named
+from commprob.perm import FiniteGroup, GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.structure import (
     NotNormal,
     Subgroup,
@@ -464,6 +465,30 @@ def test_identity_maps_share_the_parent_table(cat):
     klein = klein_subgroup(a4)
     assert quotient(a4, klein).multiplication_table() is not a4.multiplication_table()
     assert as_group(a4, klein).multiplication_table() is not a4.multiplication_table()
+
+
+def test_identity_maps_share_the_parent_memo(cat):
+    for name in ("C1", "S3", "A5"):
+        G = named(name)
+        Q = quotient(G, subgroup_generated(G, []))
+        H = as_group(G, Subgroup(G, range(G.order)))
+        assert Q._cache is G._cache and H._cache is G._cache, name
+        assert conjugacy_classes(Q) is conjugacy_classes(G) is conjugacy_classes(H), name
+        assert subgroup_class_count(G, Subgroup(G, range(G.order))) == class_count(G), name
+    a4 = cat["A4"]
+    assert quotient(a4, klein_subgroup(a4))._cache is not a4._cache
+    assert as_group(a4, klein_subgroup(a4))._cache is not a4._cache
+
+
+def test_hash_is_not_shared_through_the_memo():
+    # G/1 has degree |G| and the right regular elements, so its hash differs
+    # from G's; taken first, it must not become G's
+    G = named("S4")
+    Q = quotient(G, subgroup_generated(G, []))
+    hash(Q)
+    G2 = named("S4")
+    assert G == G2 and hash(G) == hash(G2)
+    assert Q != G and hash(Q) == hash(FiniteGroup(Q.degree, Q.elements))
 
 
 # -- property tests -------------------------------------------------------------

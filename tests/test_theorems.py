@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from commprob.structure import (
     subgroup_generated,
 )
 from commprob.theorems import (
+    Verdict,
     analyze,
     run_catalog_verification,
     summarize,
@@ -189,6 +191,18 @@ def test_analyze_375(cat):
     d = analyze(cat["(C5xC5):C15"], name="(C5xC5):C15").to_dict()
     assert d["order"] == 375 and d["d"] == "23/375"
     assert d["supersolvable"] is False
+
+
+def test_verdict_to_dict_is_asdict_in_field_order(cat):
+    samples = [
+        Verdict("d>5/16", True, True, note="supersolvable"),
+        Verdict("klein", False, True, False, "precondition: N is not C2xC2"),
+        Verdict("char-bound,c=4", True, False),
+    ] + analyze(cat["A4"], name="A4").theorem_verdicts
+    for v in samples:
+        d = v.to_dict()
+        assert d == dataclasses.asdict(v)
+        assert list(d) == list(dataclasses.asdict(v)) == [f.name for f in dataclasses.fields(v)]
 
 
 def test_analyze_deterministic(cat):
