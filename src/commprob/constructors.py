@@ -28,10 +28,11 @@ from .perm import (
     GroupError,
     OrderCapExceeded,
     Permutation,
+    _extend_map,
     _fill_rows,
     generate_group,
 )
-from .isomorphism import extend_generator_map, iter_isomorphisms
+from .isomorphism import extend_to_isomorphism, iter_isomorphisms
 
 DEFAULT_AUT_CAP = 32
 
@@ -86,11 +87,9 @@ def automorphism_from_generator_images(
 ) -> tuple[int, ...]:
     """The unique automorphism of N sending gens to images, as a full
     permutation of element indices.  Raises if no such automorphism exists."""
-    phi = extend_generator_map(N, gens, N, images)
-    if phi is None or min(phi) < 0 or len(set(phi)) != N.order:
-        raise GroupError(
-            f"generator images {list(images)} do not define an automorphism"
-        )
+    phi = extend_to_isomorphism(N, gens, N, images)
+    if phi is None:
+        raise GroupError(f"generator images {list(images)} do not define an automorphism")
     return tuple(phi)
 
 
@@ -127,43 +126,31 @@ def _validate_automorphism(N: FiniteGroup, img: tuple[int, ...], label: str) -> 
             )
 
 
-def _action_table(
-    N: FiniteGroup, H: FiniteGroup, action: ActionSpec
-) -> list[tuple[int, ...]]:
-    """Extend the generator action to every element of H, verifying the
-    homomorphism property, and return one index permutation per H element."""
+def _action_table(N: FiniteGroup, H: FiniteGroup, action: ActionSpec) -> list[tuple[int, ...]]:
+    """Extend the generator action to every element of H by one walk of
+    ``perm._extend_map`` over H's table, psi(x*g) applying psi(x) first,
+    then psi(g), and return one index permutation per H element.  Refuses
+    an action that is not a homomorphism (a generator listed twice with
+    different automorphisms included), naming the failing relation."""
     if len(action.acting_generators) != len(action.automorphism_images):
         raise GroupError("one automorphism image is required per acting generator")
-    ident = tuple(range(N.order))
-    gen_imgs: dict[int, tuple[int, ...]] = {}
-    for g, img in zip(action.acting_generators, action.automorphism_images):
+    imgs = [tuple(img) for img in action.automorphism_images]
+    for g, img in zip(action.acting_generators, imgs):
         if not 0 <= g < H.order:
             raise GroupError(f"acting generator index {g} out of range")
-        img = tuple(img)
         _validate_automorphism(N, img, f"H-generator {g}")
-        gen_imgs[g] = img
-    psi: list[tuple[int, ...] | None] = [None] * H.order
-    psi[H.identity_index] = ident
-    queue = [H.identity_index]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        px = psi[x]
-        for g, img in gen_imgs.items():
-            y = H.mul(x, g)
-            py = tuple(img[v] for v in px)  # apply psi(x) first, then psi(g)
-            if psi[y] is None:
-                psi[y] = py
-                queue.append(y)
-            elif psi[y] != py:
-                raise GroupError(
-                    "action does not extend to a homomorphism: the relation "
-                    f"psi({x}*{g}) = psi({x})*psi({g}) fails in H"
-                )
-    if any(p is None for p in psi):
+    psi, clash = _extend_map(
+        H.multiplication_table(), H.identity_index, action.acting_generators, imgs,
+        lambda px, img: tuple(map(img.__getitem__, px)), tuple(range(N.order)),
+    )
+    if clash is not None:
+        raise GroupError(
+            "action does not extend to a homomorphism: the relation "
+            "psi({0}*{1}) = psi({0})*psi({1}) fails in H".format(*clash)
+        )
+    if -1 in psi:
         raise GroupError("acting generators do not generate H")
-    return psi  # type: ignore[return-value]
+    return psi
 
 
 def semidirect_product(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perm import FiniteGroup, GroupError
-from .isomorphism import extend_generator_map, iter_isomorphisms
+from .isomorphism import extend_to_isomorphism, iter_isomorphisms
 from .structure import (
     _cached,
     as_group_with_map,
@@ -45,9 +45,12 @@ class IsoclinismWitness:
 def commutator_pairing(G: FiniteGroup) -> PairingStructure:
     """Build (G/Z(G), G', pairing) and verify the pairing is well defined.
 
-    Representative independence is checked one argument at a time; since
-    [g1 z, g2] = [g1, g2] = [g1, g2 z'] for central z, z', this forces
-    independence in both arguments simultaneously.
+    For central z, z' the theorem [g1 z, g2 z'] = [g1, g2] makes it so; the
+    loop checks it in the first argument, [g1, r2] for every g1 against the
+    representative r2 of each coset.  The second argument needs no loop of
+    its own, since [b, a] = [a, b]^-1: for r1, r2 the representatives of
+    the cosets of g1 and g2, [r1, g2] = [g2, r1]^-1, which the first check
+    equates with [r2, r1]^-1 = [r1, r2].
     """
 
     def compute():
@@ -68,11 +71,6 @@ def commutator_pairing(G: FiniteGroup) -> PairingStructure:
             row = pairing[pi[g1]]
             for q2 in range(Q.order):
                 if comm(g1, reps[q2]) != row[q2]:
-                    raise GroupError("commutator pairing is not well defined")
-        for g2 in range(G.order):
-            q2 = pi[g2]
-            for q1 in range(Q.order):
-                if comm(reps[q1], g2) != pairing[q1][q2]:
                     raise GroupError("commutator pairing is not well defined")
         return PairingStructure(Q, D, tuple(pairing))
 
@@ -103,10 +101,8 @@ def _induced_derived_map(
                 return None
     gens = sorted(forced)
     images = [forced[g] for g in gens]
-    psi = extend_generator_map(a.derived, gens, b.derived, images)
-    if psi is None or min(psi) < 0 or len(set(psi)) != a.derived.order:
-        return None
-    return tuple(psi)
+    psi = extend_to_isomorphism(a.derived, gens, b.derived, images)
+    return None if psi is None else tuple(psi)
 
 
 def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .perm import FiniteGroup, element_order
+from .perm import FiniteGroup, _extend_map, element_order
 from .structure import _cached, class_size_map
 
 
@@ -23,27 +23,29 @@ def extend_generator_map(
     """Extend gens -> images to a homomorphism on <gens>, or return None.
 
     The returned list maps source indices to destination indices and holds
-    -1 outside the subgroup generated by ``gens``.  Consistency is checked
-    on every (element, generator) product, which forces the homomorphism
-    property on the whole generated subgroup.
+    -1 outside the subgroup generated by ``gens``.  It is one walk of
+    :func:`~commprob.perm._extend_map` over src's table, products of images
+    read in dst's; consistency is checked on every (element, generator)
+    product, which forces the homomorphism property on the whole generated
+    subgroup.
     """
-    phi = [-1] * src.order
-    phi[src.identity_index] = dst.identity_index
-    queue = [src.identity_index]
-    pairs = list(zip(gens, images))
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        px = phi[x]
-        for g, mg in pairs:
-            y = src.mul(x, g)
-            py = dst.mul(px, mg)
-            if phi[y] < 0:
-                phi[y] = py
-                queue.append(y)
-            elif phi[y] != py:
-                return None
+    dst_rows = dst.multiplication_table()
+    phi, clash = _extend_map(
+        src.multiplication_table(), src.identity_index, gens, images,
+        lambda px, mg: dst_rows[px][mg], dst.identity_index,
+    )
+    return None if clash is not None else phi
+
+
+def extend_to_isomorphism(
+    src: FiniteGroup, gens: Sequence[int], dst: FiniteGroup, images: Sequence[int]
+) -> list[int] | None:
+    """Extend gens -> images to an isomorphism src -> dst, or return None:
+    the homomorphism of :func:`extend_generator_map`, if it is defined on
+    all of src and is a bijection onto dst."""
+    phi = extend_generator_map(src, gens, dst, images)
+    if phi is None or len(phi) != dst.order or -1 in phi or len(set(phi)) != dst.order:
+        return None
     return phi
 
 
@@ -73,22 +75,18 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
     if not _compatible(G, H):
         return
     gens = G.generating_indices()
-    if not gens:  # trivial group
-        yield [H.identity_index]
-        return
     profiles_h = _element_profiles(H)
     candidates = [
         [j for j in range(H.order) if profiles_h[j] == _element_profiles(G)[g]]
         for g in gens
     ]
-    n = G.order
     chosen: list[int] = []
 
     def dfs(depth: int) -> Iterator[list[int]]:
         if depth == len(gens):
-            phi = extend_generator_map(G, gens, H, chosen)
-            if phi is not None and min(phi) >= 0 and len(set(phi)) == n:
-                yield list(phi)
+            phi = extend_to_isomorphism(G, gens, H, chosen)
+            if phi is not None:
+                yield phi
             return
         for cand in candidates[depth]:
             chosen.append(cand)

@@ -13,7 +13,7 @@ import math
 from array import array
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 5000
 MAX_GROUP_ORDER = 65536  # element indices are stored as 16-bit table entries
@@ -48,6 +48,13 @@ class Permutation:
             seen[v] = True
         self.images = imgs
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, known to be a bijection."""
+        p = cls.__new__(cls)
+        p.images = images
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -65,14 +72,13 @@ class Permutation:
             raise GroupError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        o = other.images
-        return Permutation(o[v] for v in self.images)
+        return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -114,7 +120,8 @@ class FiniteGroup:
     permutations; every other row is the row of a known element gathered
     at the entries of a generator's row (right multiplication), one C-level
     ``itemgetter`` per generator.  Element indices must fit in 16 bits, so
-    groups of order above :data:`MAX_GROUP_ORDER` are refused.
+    groups of order above :data:`MAX_GROUP_ORDER` are refused.  An element
+    set not closed under composition is refused when the table is built.
 
     Groups that are their own right regular representation are given by
     their Cayley table alone (see :meth:`from_table`, which also checks that
@@ -165,6 +172,8 @@ class FiniteGroup:
                 raise GroupError(f"element set is missing the inverse of {p!r}")
         if generator_perms is None:
             self._gens = None
+        elif any(g.images not in self._index for g in generator_perms):
+            raise GroupError("a generator is not in the element set")
         else:
             self._gens = tuple(self._index[g.images] for g in generator_perms)
         self._table: tuple[array, ...] | None = None
@@ -289,7 +298,10 @@ class FiniteGroup:
                 continue
             # g is not the identity, so degree >= 2 and take() returns a tuple
             take = itemgetter(*self.elements[g].images)
-            rows[g] = array("H", [self._index[take(q.images)] for q in self.elements])
+            try:
+                rows[g] = array("H", [self._index[take(q.images)] for q in self.elements])
+            except KeyError:
+                raise GroupError("element set is not closed under composition") from None
             gens.append(g)
             reached = _fill_rows(rows, gens, self.identity_index)
         if reached != n:
@@ -337,20 +349,40 @@ def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
     return len(walk)
 
 
-def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:
-    """Inverses by one walk from the identity ``e`` over the generators, as
-    (x g)^-1 = g^-1 x^-1; elements the generators do not reach get -1."""
-    invs = [-1] * len(rows)
-    invs[e] = e
-    steps = [(g, rows[rows[g].index(e)]) for g in gens]  # g and the row of g^-1
+def _extend_map(
+    rows: Sequence[array], e: int, gens: Sequence[int], images: Sequence, mul: Callable, start
+) -> tuple[list | None, tuple[int, int] | None]:
+    """Extend ``gens[i] -> images[i]`` by one walk from the identity ``e`` over
+    the table ``rows``: ``phi(e) = start``, ``phi(x*g) = mul(phi(x), image of
+    g)``, e.g. a homomorphism, an action or (``mul`` reversed) inversion.
+    Checking every edge x -> x*g forces the rule on all of <gens>.  Returns
+    ``(phi, None)``, phi -1 where the walk does not reach, or ``(None, (x, g))``
+    at the first edge where two paths disagree (such as a generator listed
+    twice with different images)."""
+    phi: list = [-1] * len(rows)
+    phi[e] = start
+    steps = list(zip(gens, images))
     walk = [e]
     for x in walk:  # also visits what the loop appends
-        row_x, inv_x = rows[x], invs[x]
-        for g, row_g_inv in steps:
-            y = row_x[g]
-            if invs[y] < 0:
-                invs[y] = row_g_inv[inv_x]
+        row_x, phi_x = rows[x], phi[x]
+        for g, image in steps:
+            y, phi_y = row_x[g], mul(phi_x, image)
+            if phi[y] == -1:
+                phi[y] = phi_y
                 walk.append(y)
+            elif phi[y] != phi_y:
+                return None, (x, g)
+    return phi, None
+
+
+def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:
+    """Inverses by one walk from the identity ``e`` over the generators, as
+    (x g)^-1 = g^-1 x^-1; elements the generators do not reach get -1.  Two
+    words for one element with different inverses refute associativity."""
+    rows_g_inv = [rows[rows[g].index(e)] for g in gens]
+    invs, clash = _extend_map(rows, e, gens, rows_g_inv, lambda inv_x, row: row[inv_x], e)
+    if clash is not None:
+        raise GroupError("not a group table: inverses disagree along two words")
     return tuple(invs)
 
 
@@ -359,7 +391,9 @@ def generate_group(
     generators: Sequence[Permutation],
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    """Breadth-first closure of {identity} | generators under composition.
+    """Breadth-first closure of {identity} | generators under composition,
+    walked over image tuples: a :class:`Permutation` is made once per
+    element, unchecked, since products of bijections are bijections.
 
     Raises :class:`OrderCapExceeded` (naming the cap) as soon as the closure
     grows past ``max_order`` or :data:`MAX_GROUP_ORDER` elements, and
@@ -374,21 +408,18 @@ def generate_group(
             )
     cap = min(max_order, MAX_GROUP_ORDER)
     gens = list(dict.fromkeys(generators))
-    ident = Permutation.identity(degree)
-    seen: dict[tuple[int, ...], Permutation] = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q.images not in seen:
-                    if len(seen) >= cap:
-                        raise OrderCapExceeded(f"group closure exceeded the order cap of {cap}")
-                    seen[q.images] = q
-                    nxt.append(q)
-        frontier = nxt
-    return FiniteGroup(degree, seen.values(), generator_perms=gens)
+    steps = [g.images.__getitem__ for g in gens]
+    walk = [tuple(range(degree))]
+    seen = set(walk)
+    for p in walk:  # also visits what the loop appends
+        for take_g in steps:
+            q = tuple(map(take_g, p))  # p first, then g
+            if q not in seen:
+                if len(seen) >= cap:
+                    raise OrderCapExceeded(f"group closure exceeded the order cap of {cap}")
+                seen.add(q)
+                walk.append(q)
+    return FiniteGroup(degree, map(Permutation._unchecked, walk), generator_perms=gens)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

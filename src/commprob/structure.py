@@ -9,7 +9,7 @@ classifiers.  Everything operates on element indices of an immutable
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .perm import FiniteGroup, GroupError
 
@@ -250,16 +250,10 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seeds."""
-    return _conjugation_closure(G, seeds, G.generating_indices())
-
-
-def _conjugation_closure(
-    G: FiniteGroup, seeds: Iterable[int], conjugators: Sequence[int]
-) -> Subgroup:
-    """Smallest subgroup containing the seeds, normalized by the conjugators:
-    the subgroup generated by the seeds' orbits under conjugation."""
-    return Subgroup(G, _closure(G, [x for o in _orbits(G, seeds, conjugators) for x in o])[0])
+    """Smallest normal subgroup of G containing the seeds: the subgroup
+    generated by the seeds' orbits under conjugation by G's generators."""
+    orbits = _orbits(G, seeds, G.generating_indices())
+    return Subgroup(G, _closure(G, [x for o in orbits for x in o])[0])
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -277,21 +271,18 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         atoms.update(_closure(G, c.members)[0] for c in conjugacy_classes(G))
         atoms = [b for b in atoms if len(b) < G.order]
         found = set(atoms) | {tuple(range(G.order))}
-        frontier = atoms
-        while frontier:
-            nxt = []
-            for a in frontier:
-                a_rows = [rows[x] for x in a]
-                for b in atoms:
-                    covered = set(a)
-                    for y in b:
-                        if y not in covered:
-                            covered.update([row[y] for row in a_rows])
-                    if (joined := tuple(sorted(covered))) not in found:
-                        found.add(joined)
-                        if len(joined) < G.order:
-                            nxt.append(joined)
-            frontier = nxt
+        walk = list(atoms)
+        for a in walk:  # also visits what the loop appends
+            a_rows = [rows[x] for x in a]
+            for b in atoms:
+                covered = set(a)
+                for y in b:
+                    if y not in covered:
+                        covered.update([row[y] for row in a_rows])
+                if (joined := tuple(sorted(covered))) not in found:
+                    found.add(joined)
+                    if len(joined) < G.order:
+                        walk.append(joined)
         return [Subgroup(G, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
     return _cached(G, "normal_subgroups", compute)
@@ -328,6 +319,18 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
     return coset_of, reps
 
 
+def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[int]) -> FiniteGroup:
+    """The group on G's ``elements`` (coset representatives or subgroup
+    members) whose product of x and y is ``label[x*y]`` in G, with the
+    given generators.  Every element of G under the identity label is G
+    itself, over G's own table rows, uncopied, and sharing G's memo."""
+    rows = G.multiplication_table()
+    if len(elements) == G.order:
+        return FiniteGroup._over_table(rows, gens, G._cache)
+    table = [array("H", [label[rows[x][y]] for y in elements]) for x in elements]
+    return FiniteGroup.from_table(table, gens)
+
+
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient G/N, given by its Cayley table on the right cosets of N, plus
     the projection map from G element indices to quotient element indices.
@@ -342,12 +345,8 @@ def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[i
         coset_of, reps = _coset_data(G, N)
         if len(reps) * N.order != G.order:
             raise GroupError("coset action has the wrong image size")
-        rows = G.multiplication_table()
         gens = tuple(dict.fromkeys(coset_of[g] for g in G.generating_indices())) or (0,)
-        if N.is_trivial():
-            return FiniteGroup._over_table(rows, gens, G._cache), tuple(coset_of)
-        table = [array("H", [coset_of[rows[r][t]] for t in reps]) for r in reps]
-        return FiniteGroup.from_table(table, gens), tuple(coset_of)
+        return _read_table(G, reps, coset_of, gens), tuple(coset_of)
 
     return _cached(G, key, compute)
 
@@ -369,14 +368,9 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
     key = ("as_group", H.member_indices)
 
     def compute():
-        members = H.member_indices
-        pos = {m: i for i, m in enumerate(members)}
-        rows = G.multiplication_table()
+        pos = {m: i for i, m in enumerate(H.member_indices)}
         gens = tuple(pos[g] for g in subgroup_gens(G, H))
-        if H.is_whole():
-            return FiniteGroup._over_table(rows, gens, G._cache), pos
-        table = [array("H", [pos[rows[x][y]] for y in members]) for x in members]
-        return FiniteGroup.from_table(table, gens), pos
+        return _read_table(G, H.member_indices, pos, gens), pos
 
     return _cached(G, key, compute)
 
@@ -393,13 +387,12 @@ def commutator(G: FiniteGroup, a: int, b: int) -> int:
     return G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
 
 
-def _commutator_subgroup(G: FiniteGroup, a_gens: Sequence[int], b_gens: Sequence[int]) -> Subgroup:
-    """Normal closure in G of the generator commutators [a, b].
-
-    Valid whenever <a_gens union b_gens> together with conjugation data is
-    available from G itself; both uses below (derived series terms and lower
-    central series terms) involve subgroups normal in G.
-    """
+def _commutator_closure(G: FiniteGroup, a_gens: Sequence[int], b_gens: Sequence[int]) -> Subgroup:
+    """[A, B] for A, B normal in G with the given generators: the normal
+    closure of the commutators [a, b] of their generators.  Every term of
+    the derived and lower central series is normal in G, so each next term
+    is found this way inside G (the derived subgroup H' of such a term H is
+    normal in G and contains the normal closure, which contains H')."""
     return normal_closure(G, {commutator(G, a, b) for a in a_gens for b in b_gens})
 
 
@@ -408,31 +401,34 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
     def compute():
         gens = G.generating_indices()
-        return _commutator_subgroup(G, gens, gens)
+        return _commutator_closure(G, gens, gens)
 
     return _cached(G, "derived", compute)
 
 
-def _derived_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, computed inside the parent."""
-    hg = subgroup_gens(G, H)
-    return _conjugation_closure(G, {commutator(G, a, b) for a in hg for b in hg}, hg)
+def _series(G: FiniteGroup, step: Callable[[Subgroup], Subgroup]) -> list[Subgroup]:
+    """G = S0 >= S1 >= ... with S(i+1) = step(Si), until a term is trivial
+    or repeats the one before it."""
+    series = [Subgroup(G, range(G.order))]
+    while not series[-1].is_trivial():
+        nxt = step(series[-1])
+        if nxt.member_indices == series[-1].member_indices:
+            break
+        series.append(nxt)
+    return series
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
-    """G >= G' >= G'' >= ... until the series stabilizes."""
-    series = [Subgroup(G, range(G.order))]
-    while True:
-        nxt = (
-            derived_subgroup(G)
-            if len(series) == 1
-            else _derived_of(G, series[-1])
-        )
-        if nxt.member_indices == series[-1].member_indices:
-            return series
-        series.append(nxt)
-        if nxt.is_trivial():
-            return series
+    """G >= G' >= G'' >= ... until the series stabilizes; each term's derived
+    subgroup is computed inside G, from that term's generators."""
+
+    def step(H: Subgroup) -> Subgroup:
+        if H.is_whole():
+            return derived_subgroup(G)
+        hg = subgroup_gens(G, H)
+        return _commutator_closure(G, hg, hg)
+
+    return _series(G, step)
 
 
 def is_solvable(G: FiniteGroup) -> bool:
@@ -442,15 +438,7 @@ def is_solvable(G: FiniteGroup) -> bool:
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
     """G >= [G,G] >= [G,[G,G]] >= ... until the series stabilizes."""
     gens = G.generating_indices()
-    series = [Subgroup(G, range(G.order))]
-    while True:
-        last = series[-1]
-        nxt = _commutator_subgroup(G, gens, subgroup_gens(G, last))
-        if nxt.member_indices == last.member_indices:
-            return series
-        series.append(nxt)
-        if nxt.is_trivial():
-            return series
+    return _series(G, lambda K: _commutator_closure(G, gens, subgroup_gens(G, K)))
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

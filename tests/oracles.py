@@ -130,6 +130,23 @@ def oracle_derived_members(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(_closure(G, comms)))
 
 
+def oracle_lower_central_series(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """G = L1 >= L2 >= ..., L(i+1) the closure of every commutator [g, h]
+    with g in G and h in Li, until a term is trivial or repeats."""
+    series = [tuple(range(G.order))]
+    while len(series[-1]) > 1:
+        comms = {
+            G.mul(G.mul(G.inv(g), G.inv(h)), G.mul(g, h))
+            for g in range(G.order)
+            for h in series[-1]
+        }
+        nxt = tuple(sorted(_closure(G, comms)))
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
 def oracle_all_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Every subgroup, from closures of small seed sets.
 

@@ -282,6 +282,17 @@ def _single_line_error(capsys) -> str:
     return err
 
 
+def test_construct_rejects_a_generator_acting_two_ways(tmp_path, capsys):
+    action = tmp_path / "two.act"
+    action.write_text("4\n0 2 3 1\n0 3 1 2\n")  # the generator 1 of C3, twice
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3",
+         "--h-gens", "1,1", "--action", str(action)]
+    )
+    assert code == 2
+    assert "homomorphism" in _single_line_error(capsys)
+
+
 def test_construct_action_size_not_integer_exit_2(tmp_path, capsys):
     action = tmp_path / "bad.act"
     action.write_text("four\n0 2 3 1\n")

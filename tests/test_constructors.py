@@ -148,6 +148,17 @@ def test_semidirect_rejects_wrong_order_action(cat):
     assert "homomorphism" in str(err.value)
 
 
+def test_semidirect_rejects_a_generator_acting_two_ways(cat):
+    # C3's generator listed twice, acting by two different automorphisms
+    # (inverse to each other): each alone is a homomorphism, together none
+    v4 = cat["C2xC2"]
+    act = automorphism_from_generator_images(v4, [1, 2], [2, 3])
+    inverse = tuple(act.index(a) for a in range(4))
+    with pytest.raises(GroupError, match="homomorphism") as err:
+        semidirect_product(v4, cyclic(3), ActionSpec((1, 1), (act, inverse)))
+    assert "psi(0*1)" in str(err.value)
+
+
 def test_semidirect_rejects_non_generating_set(cat):
     v4 = cat["C2xC2"]
     c4 = cyclic(4)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commprob import isoclinism
 from commprob.constructors import named
@@ -13,6 +15,8 @@ from commprob.isoclinism import (
 )
 from commprob.isomorphism import (
     are_isomorphic,
+    extend_generator_map,
+    extend_to_isomorphism,
     find_isomorphism,
     iter_isomorphisms,
 )
@@ -57,6 +61,55 @@ def test_all_automorphisms_of_klein(cat):
 def test_fresh_copies_are_isomorphic(cat):
     for name in ("S3", "Q8", "A4", "C7:C3"):
         assert are_isomorphic(cat[name], named(name)), name
+
+
+@st.composite
+def generator_maps(draw):
+    """A group G of degree 2-5, some of its elements and images for them in
+    a group H: random images, or the elements conjugated in G (H = G)."""
+
+    def group():
+        degree = draw(st.integers(2, 5))
+        count = draw(st.integers(1, 2))
+        return generate_group(
+            degree, [Permutation(draw(st.permutations(range(degree)))) for _ in range(count)]
+        )
+
+    G = group()
+    gens = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        c = draw(st.integers(0, G.order - 1))
+        return G, gens, G, [G.conjugate(g, c) for g in gens]
+    H = G if draw(st.booleans()) else group()
+    return G, gens, H, [draw(st.integers(0, H.order - 1)) for _ in gens]
+
+
+def brute_force_generator_map(G, gens, H, images):
+    """The homomorphism on <gens> sending gens to images, or None: a
+    candidate built by left multiplication, phi(g x) = image(g) phi(x),
+    kept only if phi(g) = image(g) and phi(xy) = phi(x) phi(y) for all x, y."""
+    phi = {G.identity_index: H.identity_index}
+    reached = [G.identity_index]
+    for x in reached:
+        for g, m in zip(gens, images):
+            if G.mul(g, x) not in phi:
+                phi[G.mul(g, x)] = H.mul(m, phi[x])
+                reached.append(G.mul(g, x))
+    if any(phi[g] != m for g, m in zip(gens, images)):
+        return None
+    if any(phi[G.mul(x, y)] != H.mul(phi[x], phi[y]) for x in phi for y in phi):
+        return None
+    return [phi.get(x, -1) for x in range(G.order)]
+
+
+@given(generator_maps())
+@settings(deadline=None, max_examples=60)
+def test_extend_generator_map_matches_brute_force(spec):
+    G, gens, H, images = spec
+    expected = brute_force_generator_map(G, gens, H, images)
+    assert extend_generator_map(G, gens, H, images) == expected
+    bijective = expected is not None and sorted(expected) == list(range(H.order))
+    assert extend_to_isomorphism(G, gens, H, images) == (expected if bijective else None)
 
 
 def test_same_order_different_groups(cat):
@@ -170,7 +223,7 @@ def test_stem_examples(cat):
 
 def test_pairing_over_a_non_central_subgroup_is_refused(monkeypatch):
     # A4's Klein subgroup is normal but not central: commutators are not
-    # constant on its cosets, and both well-definedness loops still check
+    # constant on its cosets, and the well-definedness loop still checks
     a4 = named("A4")
     klein = next(n for n in normal_subgroups(a4) if n.order == 4)
     monkeypatch.setattr(isoclinism, "center", lambda G: klein)

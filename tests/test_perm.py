@@ -174,6 +174,53 @@ def test_table_generators_must_generate(gens):
         FiniteGroup.from_table(rows, gens)
 
 
+def test_element_set_not_closed_is_refused_when_the_table_is_built():
+    # every element is its own inverse, but (0 1)(1 2) is not in the set;
+    # the table, and with it the refusal, comes on first use
+    els = [Permutation.identity(3), Permutation([1, 0, 2]), Permutation([0, 2, 1])]
+    for gens in (None, els[1:]):
+        G = FiniteGroup(3, els, generator_perms=gens)
+        assert G._table is None
+        with pytest.raises(GroupError, match="not closed"):
+            G.mul(1, 2)
+
+
+def test_generator_outside_the_element_set_refused():
+    els = [Permutation.identity(3), Permutation([1, 0, 2])]
+    with pytest.raises(GroupError, match="not in the element set"):
+        FiniteGroup(3, els, generator_perms=[Permutation([0, 2, 1])])
+
+
+def test_closure_checks_no_product(monkeypatch):
+    # the generators are checked once when made; the closure walks image
+    # tuples, and neither it nor FiniteGroup checks a product again
+    checked = []
+    original = Permutation.__init__
+
+    def recording(self, images):
+        checked.append(images)
+        original(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", recording)
+    G = generate_group(4, A4_GENS)
+    assert G.order == 12 and checked == []
+
+
+def test_non_associative_table_refused():
+    # a Latin square with identity 0 that is no group table (the product is
+    # not associative): the walk for inverses meets two words for one
+    # element with different inverses
+    rows = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(GroupError, match="not a group table"):
+        FiniteGroup.from_table([array("H", r) for r in rows], (1, 2))
+
+
 @st.composite
 def generator_sets(draw):
     degree = draw(st.integers(1, 6))

@@ -21,6 +21,7 @@ from commprob.structure import (
     is_normal,
     is_solvable,
     is_supersolvable,
+    lower_central_series,
     minimal_normal_subgroups,
     normal_subgroups,
     quotient,
@@ -41,6 +42,7 @@ from oracles import (
     oracle_derived_members,
     oracle_greedy_generators,
     oracle_is_supersolvable,
+    oracle_lower_central_series,
     oracle_normal_subgroups,
     oracle_regular_representation,
 )
@@ -311,6 +313,27 @@ def test_derived_series_a4(cat):
     assert [s.order for s in derived_series(cat["A4"])] == [12, 4, 1]
 
 
+def check_series(G):
+    """Each derived series term against the oracle on the term before it, as
+    its own group; the last term is trivial or its own derived subgroup.
+    The lower central series against the oracle's, term by term."""
+
+    def derived(H):
+        return tuple(H.member_indices[i] for i in oracle_derived_members(as_group(G, H)))
+
+    series = derived_series(G)
+    for H, K in zip(series, series[1:]):
+        assert K.member_indices == derived(H)
+    assert series[-1].is_trivial() or derived(series[-1]) == series[-1].member_indices
+    lower = [K.member_indices for K in lower_central_series(G)]
+    assert lower == oracle_lower_central_series(G)
+
+
+def test_series_match_oracles(cat):
+    for G in cat.values():
+        check_series(G)
+
+
 def test_solvability(cat):
     assert is_solvable(cat["C12"])
     assert is_solvable(cat["A4"])
@@ -554,11 +577,7 @@ def groups_of_degree_2_to_5(draw):
 @settings(deadline=None, max_examples=30)
 def test_random_groups_in_table_invariants_match_oracles(G):
     check_in_table_invariants(G)
-    # the commutator closures: G' against the oracle, and G'' (found inside
-    # G) against the oracle on G' as its own group
-    series = derived_series(G)
+    # the commutator closures: G' against the oracle, and every later term
+    # of both series (found inside G) against the oracles
     assert derived_subgroup(G).member_indices == oracle_derived_members(G)
-    if len(series) > 2:
-        D = series[1]
-        inner = oracle_derived_members(as_group(G, D))
-        assert series[2].member_indices == tuple(D.member_indices[i] for i in inner)
+    check_series(G)

@@ -2,15 +2,21 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commprob.perm import Permutation, generate_group
 from commprob.structure import (
     center,
+    classes_inside,
     conjugacy_classes,
     normal_subgroups,
     subgroup_generated,
+    subgroup_is_abelian,
 )
 from commprob.theorems import (
     Verdict,
+    _smallest_class_in,
     analyze,
     run_catalog_verification,
     summarize,
@@ -27,6 +33,28 @@ def normal_of_order(cat, name, order):
 
 
 # -- threshold verifiers ---------------------------------------------------------
+
+
+def check_smallest_class_in(G):
+    # the smallest nontrivial class inside each abelian normal N, read off
+    # the class sizes of N's members, against the scan of G's classes
+    for N in normal_subgroups(G):
+        if subgroup_is_abelian(G, N):
+            nontrivial = [c for c in classes_inside(G, N) if c.representative != G.identity_index]
+            expected = min(((c.size, c.representative) for c in nontrivial), default=None)
+            assert _smallest_class_in(G, N) == expected
+
+
+def test_smallest_class_in_matches_the_class_scan(cat):
+    for G in cat.values():
+        if G.order <= 100:
+            check_smallest_class_in(G)
+
+
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)))
+@settings(deadline=None, max_examples=25)
+def test_smallest_class_in_matches_the_class_scan_on_random_groups(gens):
+    check_smallest_class_in(generate_group(len(gens[0]), [Permutation(g) for g in gens]))
 
 
 def test_5_16_a4(cat):
