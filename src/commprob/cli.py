@@ -212,6 +212,8 @@ def _single_verdict(args, G: FiniteGroup, label: str) -> Verdict:
 def _cmd_verify(args) -> int:
     if not args.all and args.name is None and args.path is None:
         raise GroupError("verify needs --all, --name, or a group file path")
+    if args.all and (args.name is not None or args.path is not None):
+        raise GroupError("verify --all takes no --name or group file path")
     if args.theorem != "all":
         G, label = _load_group(args)
         verdict = _single_verdict(args, G, label)
@@ -219,14 +221,10 @@ def _cmd_verify(args) -> int:
         _emit(payload, args.format)
         return 1 if verdict.is_failure() else 0
     if args.all:
-        names = None
-    elif args.name is not None:
-        names = [args.name]
+        reports, _ = run_catalog_verification()
     else:
         G, label = _load_group(args)
         reports = [analyze(G, name=label)]
-        return _emit_verify(reports, args.format)
-    reports, _ = run_catalog_verification(names=names)
     return _emit_verify(reports, args.format)
 
 

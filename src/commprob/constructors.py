@@ -17,9 +17,8 @@ a * |H| + h, so N and H embed as a -> a * |H| and h -> h.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import (
     DEFAULT_ORDER_CAP,
@@ -93,8 +92,7 @@ def automorphism_from_generator_images(
     return tuple(phi)
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(NamedTuple):
     """An action of H on N given on generators of H.
 
     ``automorphism_images[i]`` is the permutation of N's element indices by

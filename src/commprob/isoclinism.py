@@ -9,7 +9,7 @@ subgroup; it is the full invariant and is checked directly here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perm import FiniteGroup, GroupError
 from .isomorphism import extend_to_isomorphism, iter_isomorphisms
@@ -22,8 +22,7 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class PairingStructure:
+class PairingStructure(NamedTuple):
     """The isoclinism invariant of a group.
 
     ``pairing[q1][q2]`` is the element index, inside the standalone
@@ -36,8 +35,7 @@ class PairingStructure:
     pairing: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IsoclinismWitness:
+class IsoclinismWitness(NamedTuple):
     quotient_iso: tuple[int, ...]
     derived_iso: tuple[int, ...]
 

@@ -133,8 +133,8 @@ class FiniteGroup:
 
     The group is immutable after construction and safe to share read-only
     across threads: two threads that both use it first may each build the
-    table, but they store identical rows.  Other derived data (inverses, by
-    one walk over the generators; invariants) is memoized the same way.
+    table, but they store identical rows.  Invariants are memoized the same
+    way; inverses come from the checks made at construction.
     """
 
     __slots__ = (
@@ -167,9 +167,9 @@ class FiniteGroup:
         if ident not in self._index:
             raise GroupError("element set does not contain the identity")
         self.identity_index = self._index[ident]
-        for p in els:
-            if p.inverse().images not in self._index:
-                raise GroupError(f"element set is missing the inverse of {p!r}")
+        invs = [self._index.get(p.inverse().images, -1) for p in els]  # kept for inv()
+        if -1 in invs:
+            raise GroupError(f"element set is missing the inverse of {els[invs.index(-1)]!r}")
         if generator_perms is None:
             self._gens = None
         elif any(g.images not in self._index for g in generator_perms):
@@ -177,7 +177,7 @@ class FiniteGroup:
         else:
             self._gens = tuple(self._index[g.images] for g in generator_perms)
         self._table: tuple[array, ...] | None = None
-        self._cache: dict = {}
+        self._cache: dict = {"inv": tuple(invs)}
         self._hash: int | None = None
 
     @classmethod
@@ -198,9 +198,10 @@ class FiniteGroup:
             or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
         ):
             raise GroupError("not a group table with identity 0 on 0..n-1")
-        if any(not 0 <= g < n for g in gens) or -1 in _inverses(rows, gens, 0):
+        invs = _inverses(rows, gens, 0) if all(0 <= g < n for g in gens) else (-1,)
+        if -1 in invs:
             raise GroupError(f"not a group table generated by {list(gens)}")
-        return cls._over_table(tuple(rows), gens)
+        return cls._over_table(tuple(rows), gens, {"inv": invs})  # the walk serves inv()
 
     @classmethod
     def _over_table(

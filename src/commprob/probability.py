@@ -7,8 +7,8 @@ terms, with arbitrary-precision integers, so threshold comparisons such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .perm import FiniteGroup, GroupError
 from .structure import (
@@ -73,8 +73,7 @@ def check_character_bound(G: FiniteGroup, c: int) -> bool:
     return G.order >= index + c * (k - index)
 
 
-@dataclass(frozen=True)
-class GallagherResult:
+class GallagherResult(NamedTuple):
     holds: bool
     equality: bool
     class_count_group: int
@@ -130,8 +129,7 @@ BOUND_VACUOUS = "vacuous"
 BOUND_VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class DerivedBoundReport:
+class DerivedBoundReport(NamedTuple):
     d: Fraction
     derived_order: int
     odd: bool

@@ -10,8 +10,8 @@ counterexample.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .perm import FiniteGroup, element_order
 from .constructors import named
@@ -46,8 +46,7 @@ from .structure import (
 S_RANGE = (2, 3, 4, 5, 6)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one statement on one group.
 
     ``holds`` is True whenever the statement is not applicable (vacuous
@@ -65,19 +64,11 @@ class Verdict:
         return self.precondition_ok and self.applicable and not self.holds
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, as ``dataclasses.asdict`` gives
-        them, without its recursive deep copy (every field is a str or bool)."""
-        return {
-            "statement": self.statement,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "precondition_ok": self.precondition_ok,
-            "note": self.note,
-        }
+        """The fields in declaration order."""
+        return self._asdict()
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     name: str
     order: int
     class_count: int
@@ -95,12 +86,12 @@ class GroupReport:
     isoclinic_to_A4: bool
     quotient_by_center_isoclinic_to_A4: bool
     isoclinic_to_C5C5C3: bool
-    theorem_verdicts: list[Verdict] = field(default_factory=list)
+    theorem_verdicts: list[Verdict]
 
     def to_dict(self) -> dict:
         """The fields in declaration order, ``d`` and ``acs`` as "p/q" and
         ``theorem_verdicts`` last, under the key ``verdicts``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["d"], out["acs"] = _frac(self.d), _frac(self.acs)
         out["verdicts"] = [v.to_dict() for v in out.pop("theorem_verdicts")]
         return out
@@ -286,6 +277,7 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
         isoclinic_to_A4=are_isoclinic(G, a4),
         quotient_by_center_isoclinic_to_A4=are_isoclinic(quotient(G, z), a4),
         isoclinic_to_C5C5C3=are_isoclinic(G, _reference("(C5xC5):C3")),
+        theorem_verdicts=[],
     )
     verdicts = report.theorem_verdicts
     verdicts.append(verify_supersolvable_5_16(G))
@@ -383,12 +375,14 @@ def run_catalog_verification(
     s_values: tuple[int, ...] = S_RANGE,
 ) -> tuple[list[GroupReport], dict]:
     """Analyze every catalog group (or the named subset, kept in canonical
-    catalog order) and summarize all verdicts."""
+    catalog order) and summarize all verdicts; an unknown name is refused."""
     from .constructors import catalog_keys
 
     keys = catalog_keys()
     if names is not None:
-        wanted = set(names)
-        keys = [k for k in keys if k in wanted]
+        for name in names:
+            if name not in keys:
+                named(name)  # refuses the unknown key, listing the known ones
+        keys = [k for k in keys if k in names]
     reports = [analyze(named(k), name=k, s_values=s_values) for k in keys]
     return reports, summarize(reports)

@@ -178,6 +178,32 @@ def test_verify_normal_selector_errors(capsys):
     assert "matches" in capsys.readouterr().err
 
 
+def test_verify_unknown_name_exit_2(capsys):
+    assert main(["analyze", "--name", "NOPE"]) == 2
+    analyze_err = _single_line_error(capsys)
+    assert main(["verify", "--name", "NOPE"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == analyze_err
+    assert analyze_err.startswith("error: unknown catalog key 'NOPE'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--name", "A4", "a4.grp"], "exactly one of a catalog --name or a group file path"),
+        (["verify", "--all", "--name", "A4"], "--all takes no --name or group file path"),
+        (["verify", "--all", "a4.grp"], "--all takes no --name or group file path"),
+    ],
+    ids=["name-and-path", "all-and-name", "all-and-path"],
+)
+def test_verify_refuses_a_second_source_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("a4.grp").write_text(A4_FILE)
+    assert main(argv) == 2
+    assert message in _single_line_error(capsys)
+
+
 def test_isoclinic_command(capsys):
     assert main(["isoclinic", "--name", "C2xA4", "--name2", "A4"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -391,6 +417,19 @@ def test_table_format(capsys):
 
 # what the `commprob` console script runs
 ENTRY = "import sys; from commprob.cli import main; sys.exit(main())"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the CLI's import path is paid by every fresh process; -S keeps site
+    # hooks (coverage, editable installs) from importing modules of their own
+    env = {**os.environ, "PYTHONPATH": str(Path(commprob.__file__).parent.parent)}
+    probe = "import sys, commprob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])

@@ -1,11 +1,10 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commprob.perm import Permutation, generate_group
+from commprob.perm import GroupError, Permutation, generate_group
 from commprob.structure import (
     center,
     classes_inside,
@@ -227,10 +226,11 @@ def test_verdict_to_dict_is_asdict_in_field_order(cat):
         Verdict("klein", False, True, False, "precondition: N is not C2xC2"),
         Verdict("char-bound,c=4", True, False),
     ] + analyze(cat["A4"], name="A4").theorem_verdicts
+    keys = ["statement", "applicable", "holds", "precondition_ok", "note"]
     for v in samples:
         d = v.to_dict()
-        assert d == dataclasses.asdict(v)
-        assert list(d) == list(dataclasses.asdict(v)) == [f.name for f in dataclasses.fields(v)]
+        assert list(d) == keys
+        assert d == {k: getattr(v, k) for k in keys}
 
 
 def test_analyze_deterministic(cat):
@@ -254,6 +254,11 @@ def test_run_catalog_single_filter():
     assert summary["groups"] == 1
     assert reports[0].name == "A4"
     assert summary["failures"] == 0
+
+
+def test_run_catalog_unknown_name_refused():
+    with pytest.raises(GroupError, match="unknown catalog key 'NOPE'"):
+        run_catalog_verification(names=["A4", "NOPE"])
 
 
 def test_summary_counts_consistent():
