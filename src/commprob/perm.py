@@ -198,8 +198,7 @@ class FiniteGroup:
             or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
         ):
             raise GroupError("not a group table with identity 0 on 0..n-1")
-        invs = _inverses(rows, gens, 0) if all(0 <= g < n for g in gens) else (-1,)
-        if -1 in invs:
+        if any(not 0 <= g < n for g in gens) or -1 in (invs := _inverses(rows, gens, 0)):
             raise GroupError(f"not a group table generated by {list(gens)}")
         return cls._over_table(tuple(rows), gens, {"inv": invs})  # the walk serves inv()
 
@@ -208,7 +207,8 @@ class FiniteGroup:
         cls, rows: tuple[array, ...], gens: Sequence[int], cache: dict | None = None
     ) -> "FiniteGroup":
         """The group over ``rows`` uncopied and unchecked: some group's own
-        table.  Passing that group's ``_cache`` makes the two share it."""
+        table.  Passing that group's ``_cache`` makes the two share it;
+        ``inv`` reads the inverses from ``cache["inv"]``."""
         group = cls.__new__(cls)
         group.degree, group.identity_index, group._elements, group._index = len(rows), 0, None, None
         group._gens, group._table, group._hash = tuple(gens), rows, None
@@ -263,11 +263,7 @@ class FiniteGroup:
         return (self._table or self.multiplication_table())[i][j]
 
     def inv(self, i: int) -> int:
-        invs = self._cache.get("inv")
-        if invs is None:
-            rows, gens = self.multiplication_table(), self.generating_indices()
-            self._cache["inv"] = invs = _inverses(rows, gens, self.identity_index)
-        return invs[i]
+        return self._cache["inv"][i]
 
     def conjugate(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""

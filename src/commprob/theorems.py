@@ -380,9 +380,10 @@ def run_catalog_verification(
 
     keys = catalog_keys()
     if names is not None:
-        for name in names:
-            if name not in keys:
-                named(name)  # refuses the unknown key, listing the known ones
-        keys = [k for k in keys if k in names]
+        unknown = [n for n in names if n not in keys]
+        if unknown:
+            named(unknown[0])  # raises the catalog-key error, listing the known keys
+        wanted = set(names)
+        keys = [k for k in keys if k in wanted]
     reports = [analyze(named(k), name=k, s_values=s_values) for k in keys]
     return reports, summarize(reports)
