@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .perm import (
     DEFAULT_ORDER_CAP,
@@ -114,8 +113,13 @@ def _load_group(args) -> tuple[FiniteGroup, str]:
     return _read_group(path, args.max_order), path
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _read_group(path: str, max_order: int) -> FiniteGroup:
-    degree, gens = parse_group_file(Path(path).read_text(encoding="utf-8"))
+    degree, gens = parse_group_file(_read_text(path))
     return generate_group(degree, gens, max_order=max_order)
 
 
@@ -249,12 +253,12 @@ def _emit_verify(reports, fmt: str) -> int:
 
 
 def _cmd_isoclinic(args) -> int:
+    if (args.name2 is None) == (args.path2 is None):
+        raise GroupError("give exactly one of a catalog --name2 or a second group file path")
     G, la = _load_group(args)
     if args.name2 is not None:
         H, lb = named(args.name2), args.name2
     else:
-        if args.path2 is None:
-            raise GroupError("isoclinic needs two groups (--name2 or a second path)")
         H, lb = _read_group(args.path2, args.max_order), args.path2
     witness = find_isoclinism(G, H)
     payload: dict = {"first": la, "second": lb, "isoclinic": witness is not None}
@@ -333,15 +337,14 @@ def _cmd_construct(args) -> int:
         return 0
     if args.action is None:
         raise GroupError("construct semidirect needs --action (or --describe)")
-    rows = _parse_action_file(
-        Path(args.action).read_text(encoding="utf-8"), N.order, len(h_gens)
-    )
+    rows = _parse_action_file(_read_text(args.action), N.order, len(h_gens))
     G = semidirect_product(
         N, H, ActionSpec(tuple(h_gens), tuple(rows)), max_order=args.max_order
     )
     output = format_group_file(G)
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(output)
         print(f"wrote group of order {G.order} to {args.out}")
     else:
         sys.stdout.write(output)

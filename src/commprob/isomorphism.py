@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .perm import FiniteGroup, _extend_map, element_order
+from .perm import FiniteGroup, _extend_map, _generator_maps, element_order
 from .structure import _cached, class_size_map
 
 
@@ -49,11 +49,6 @@ def extend_to_isomorphism(
     return phi
 
 
-def _injective_where_defined(phi: list[int]) -> bool:
-    defined = [v for v in phi if v >= 0]
-    return len(defined) == len(set(defined))
-
-
 def _element_profiles(G: FiniteGroup) -> tuple[tuple[int, int], ...]:
     def compute():
         sizes = class_size_map(G)
@@ -71,31 +66,19 @@ def _compatible(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
-    """Yield every isomorphism G -> H as an index map, in canonical order."""
+    """Yield every isomorphism G -> H as an index map, in canonical order:
+    the maps of :func:`~commprob.perm._generator_maps` from G's generators
+    to H's elements of the same order and class size.  Each is injective on
+    all of G and |G| = |H|, so it is already an isomorphism."""
     if not _compatible(G, H):
         return
     gens = G.generating_indices()
-    profiles_h = _element_profiles(H)
-    candidates = [
-        [j for j in range(H.order) if profiles_h[j] == _element_profiles(G)[g]]
-        for g in gens
-    ]
-    chosen: list[int] = []
-
-    def dfs(depth: int) -> Iterator[list[int]]:
-        if depth == len(gens):
-            phi = extend_to_isomorphism(G, gens, H, chosen)
-            if phi is not None:
-                yield phi
-            return
-        for cand in candidates[depth]:
-            chosen.append(cand)
-            partial = extend_generator_map(G, gens[: depth + 1], H, chosen)
-            if partial is not None and _injective_where_defined(partial):
-                yield from dfs(depth + 1)
-            chosen.pop()
-
-    yield from dfs(0)
+    profiles_g, profiles_h = _element_profiles(G), _element_profiles(H)
+    candidates = [[j for j in range(H.order) if profiles_h[j] == profiles_g[g]] for g in gens]
+    yield from _generator_maps(
+        G.multiplication_table(), G.identity_index, gens, candidates,
+        H.multiplication_table(), H.identity_index,
+    )
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

@@ -13,7 +13,7 @@ import math
 from array import array
 from operator import itemgetter
 from struct import Struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 5000
 MAX_GROUP_ORDER = 65536  # element indices are stored as 16-bit table entries
@@ -370,6 +370,33 @@ def _extend_map(
             elif phi[y] != phi_y:
                 return None, (x, g)
     return phi, None
+
+
+def _generator_maps(
+    rows: Sequence[array], e: int, gens: Sequence[int], candidates: Sequence[Sequence[int]],
+    dst_rows: Sequence[array], dst_e: int,
+) -> Iterator[list[int]]:
+    """Each injective homomorphism from <gens> into the table ``dst_rows``
+    with ``gens[i]`` sent into ``candidates[i]``, depth first in the given
+    order: a prefix of images is extended by one :func:`_extend_map` walk
+    and dropped on a clash or a repeated image; -1 outside <gens>."""
+
+    def search(images: list[int]) -> Iterator[list[int]]:
+        phi, clash = _extend_map(
+            rows, e, gens[: len(images)], images, lambda px, g: dst_rows[px][g], dst_e
+        )
+        if clash is not None:
+            return
+        defined = [v for v in phi if v >= 0]
+        if len(defined) != len(set(defined)):
+            return
+        if len(images) == len(gens):
+            yield phi
+            return
+        for cand in candidates[len(images)]:
+            yield from search([*images, cand])
+
+    return search([])
 
 
 def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:

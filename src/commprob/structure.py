@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterable, Sequence
 
-from .perm import FiniteGroup, GroupError
+from .perm import FiniteGroup, GroupError, _generator_maps
 
 
 class NotNormal(GroupError):
@@ -487,39 +487,25 @@ def is_supersolvable(G: FiniteGroup) -> bool:
 def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
     """A subgroup H with H meet N = 1 and |H| * |N| = |G|, if one exists.
 
-    Depth-first search over coset representatives: at each step the first
-    coset not yet covered by <H> is tried, candidates in canonical element
-    order, so the first success is deterministic.  Memoized per N.
+    It is the image of a homomorphic section s: G/N -> G, pi(s(q)) = q
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005): the first map of :func:`~commprob.perm._generator_maps`, the
+    search that finds isomorphisms, from the generators q of G/N to the
+    members of their cosets, in index order.  Memoized per N.
     """
     if not is_normal(G, N):
         raise NotNormal("complements are searched for normal subgroups only")
     if N.is_trivial() or N.is_whole():
         raise GroupError("find_complement requires a nontrivial proper subgroup")
-    target = G.order // N.order
 
     def compute():
-        _, pi = quotient_with_map(G, N)
-        coset_members: list[list[int]] = [[] for _ in range(target)]
-        for i in range(G.order):
-            coset_members[pi[i]].append(i)
-
-        def search(current: tuple[int, ...]) -> tuple[int, ...] | None:
-            if len(current) == target:
-                return current
-            covered = {pi[x] for x in current}
-            first_open = min(q for q in range(target) if q not in covered)
-            for cand in coset_members[first_open]:
-                grown = _closure(G, (*current, cand))[0]
-                if len(grown) > target or target % len(grown) != 0:
-                    continue
-                if len({pi[x] for x in grown}) != len(grown):
-                    continue  # meets N nontrivially
-                result = search(grown)
-                if result is not None:
-                    return result
-            return None
-
-        found = search((G.identity_index,))
-        return None if found is None else Subgroup(G, found)
+        Q, pi = quotient_with_map(G, N)
+        gens = Q.generating_indices()
+        sections = _generator_maps(
+            Q.multiplication_table(), Q.identity_index, gens,
+            [[x for x in range(G.order) if pi[x] == q] for q in gens],
+            G.multiplication_table(), G.identity_index,
+        )
+        return next((Subgroup(G, section) for section in sections), None)
 
     return _cached(G, ("complement", N.member_indices), compute)

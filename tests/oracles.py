@@ -162,6 +162,17 @@ def oracle_all_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in found)
 
 
+def oracle_has_complement(
+    G: FiniteGroup, N: tuple[int, ...], subgroups: list[tuple[int, ...]]
+) -> bool:
+    """Whether one of ``subgroups`` (all of G's, from
+    :func:`oracle_all_subgroups`) meets N trivially and has |H| |N| = |G|."""
+    return any(
+        len(H) * len(N) == G.order and set(H) & set(N) == {G.identity_index}
+        for H in subgroups
+    )
+
+
 def oracle_normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     out = []
     for members in oracle_all_subgroups(G):

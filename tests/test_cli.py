@@ -237,6 +237,42 @@ def test_isoclinic_without_first_group_exit_2(capsys):
     assert "exactly one of a catalog --name or a group file path" in _single_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isoclinic", "a4.grp", "s3.grp", "--name2", "A4"],
+        ["isoclinic", "a4.grp"],
+        ["isoclinic", "--name", "A4"],
+    ],
+    ids=["path2-and-name2", "one-path", "one-name"],
+)
+def test_isoclinic_needs_exactly_one_second_group_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("a4.grp").write_text(A4_FILE)
+    Path("s3.grp").write_text("3\n1 0 2\n1 2 0\n")
+    assert main(argv) == 2
+    message = "exactly one of a catalog --name2 or a second group file path"
+    assert message in _single_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "first, second, witness",
+    [
+        (
+            "C2xA4",
+            "A4",
+            {"quotient_iso": [0, 9, 5, 3, 1, 7, 2, 6, 11, 10, 4, 8], "derived_iso": [0, 1, 3, 2]},
+        ),
+        ("D8", "Q8", {"quotient_iso": [0, 2, 3, 1], "derived_iso": [0, 1]}),
+    ],
+)
+def test_isoclinic_witness_pinned(first, second, witness, capsys):
+    # the first witness in canonical search order; a reordered search changes it
+    assert main(["isoclinic", "--name", first, "--name2", second, "--witness"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"first": first, "second": second, "isoclinic": True, "witness": witness}
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     entries = json.loads(capsys.readouterr().out)
@@ -419,17 +455,26 @@ def test_table_format(capsys):
 ENTRY = "import sys; from commprob.cli import main; sys.exit(main())"
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def _loaded_by_cli_import(modules: set[str]) -> str:
     # the CLI's import path is paid by every fresh process; -S keeps site
     # hooks (coverage, editable installs) from importing modules of their own
     env = {**os.environ, "PYTHONPATH": str(Path(commprob.__file__).parent.parent)}
-    probe = "import sys, commprob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = f"import sys, commprob.cli; print(sorted({modules!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_import_loads_no_pathlib():
+    # files are read and written with the builtin open
+    assert _loaded_by_cli_import({"pathlib"}) == "[]"
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])

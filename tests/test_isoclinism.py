@@ -58,6 +58,21 @@ def test_all_automorphisms_of_klein(cat):
     assert len(autos) == 6
 
 
+def test_automorphisms_of_q8_in_canonical_order(cat):
+    # images of Q8's generators (1, 2) in index order: the search order is fixed
+    q8 = cat["Q8"]
+    assert list(iter_isomorphisms(q8, q8)) == [
+        [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 3, 6, 4, 5, 7, 2], [0, 1, 6, 7, 4, 5, 2, 3],
+        [0, 1, 7, 2, 4, 5, 3, 6], [0, 2, 1, 7, 4, 6, 5, 3], [0, 2, 3, 1, 4, 6, 7, 5],
+        [0, 2, 5, 3, 4, 6, 1, 7], [0, 2, 7, 5, 4, 6, 3, 1], [0, 3, 1, 2, 4, 7, 5, 6],
+        [0, 3, 2, 5, 4, 7, 6, 1], [0, 3, 5, 6, 4, 7, 1, 2], [0, 3, 6, 1, 4, 7, 2, 5],
+        [0, 5, 2, 7, 4, 1, 6, 3], [0, 5, 3, 2, 4, 1, 7, 6], [0, 5, 6, 3, 4, 1, 2, 7],
+        [0, 5, 7, 6, 4, 1, 3, 2], [0, 6, 1, 3, 4, 2, 5, 7], [0, 6, 3, 5, 4, 2, 7, 1],
+        [0, 6, 5, 7, 4, 2, 1, 3], [0, 6, 7, 1, 4, 2, 3, 5], [0, 7, 1, 6, 4, 3, 5, 2],
+        [0, 7, 2, 1, 4, 3, 6, 5], [0, 7, 5, 2, 4, 3, 1, 6], [0, 7, 6, 5, 4, 3, 2, 1],
+    ]
+
+
 def test_fresh_copies_are_isomorphic(cat):
     for name in ("S3", "Q8", "A4", "C7:C3"):
         assert are_isomorphic(cat[name], named(name)), name

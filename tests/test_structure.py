@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commprob.constructors import named
+from commprob.constructors import _dihedral, cyclic, direct_product, named
 from commprob.perm import FiniteGroup, GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.structure import (
     NotNormal,
@@ -40,7 +40,9 @@ from oracles import (
     oracle_conjugacy_classes,
     oracle_coset_action,
     oracle_derived_members,
+    oracle_all_subgroups,
     oracle_greedy_generators,
+    oracle_has_complement,
     oracle_is_supersolvable,
     oracle_lower_central_series,
     oracle_normal_subgroups,
@@ -423,6 +425,32 @@ def test_complements_reverify(cat):
             ).order == G.order, name
 
 
+def test_complement_existence_matches_brute_force(cat):
+    # a complement exists iff some subgroup meets N trivially with |H| |N| = |G|
+    groups = {name: G for name, G in cat.items() if G.order <= 24}
+    for n in range(3, 13):
+        groups.setdefault(f"D{2 * n}", _dihedral(2 * n))
+    groups["C4xC4"] = direct_product(cyclic(4), cyclic(4))
+    groups["C2xC8"] = direct_product(cyclic(2), cyclic(8))
+    pairs = non_split = 0
+    for name, G in groups.items():
+        subgroups = oracle_all_subgroups(G)
+        for N in normal_subgroups(G):
+            if N.is_trivial() or N.is_whole():
+                continue
+            H = find_complement(G, N)
+            assert (H is not None) == oracle_has_complement(G, N.member_indices, subgroups), (
+                name, N.member_indices,
+            )
+            pairs += 1
+            if H is None:
+                non_split += 1
+                continue
+            assert set(H.member_indices) & set(N.member_indices) == {G.identity_index}, name
+            assert H.order * N.order == G.order, name
+    assert (pairs, non_split) == (118, 31)
+
+
 def test_complement_deterministic(cat):
     a4 = cat["A4"]
     h1 = find_complement(a4, klein_subgroup(a4))
@@ -563,6 +591,10 @@ def test_random_groups_supersolvable_and_lattice_match_oracles(G):
     assert is_supersolvable(G) == oracle_is_supersolvable(G)
     got = [n.member_indices for n in normal_subgroups(G)]
     assert sorted(got) == oracle_normal_subgroups(G)
+    subgroups = oracle_all_subgroups(G)
+    for N in got[1:-1]:
+        has = find_complement(G, Subgroup(G, N)) is not None
+        assert has == oracle_has_complement(G, N, subgroups), N
 
 
 @st.composite
