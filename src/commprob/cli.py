@@ -253,6 +253,8 @@ def _emit_verify(reports, fmt: str) -> int:
 
 
 def _cmd_isoclinic(args) -> int:
+    if args.name is not None and args.path is not None and args.path2 is args.name2 is None:
+        args.path, args.path2 = None, args.path  # --name G H.grp: the file is the second group
     if (args.name2 is None) == (args.path2 is None):
         raise GroupError("give exactly one of a catalog --name2 or a second group file path")
     G, la = _load_group(args)

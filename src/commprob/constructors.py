@@ -51,9 +51,10 @@ def cyclic(n: int) -> FiniteGroup:
 def direct_product(
     A: FiniteGroup, B: FiniteGroup, max_order: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
-    """A x B acting on the disjoint union of the two point sets.  Orders
-    above ``max_order`` or :data:`MAX_GROUP_ORDER` are refused before any
-    element is built."""
+    """A x B acting on the disjoint union of the two point sets: the closure
+    (:func:`generate_group`) of A's generators on the first block, then B's
+    on the second, which are its generators.  Orders above ``max_order`` or
+    :data:`MAX_GROUP_ORDER` are refused before any element is built."""
     order = A.order * B.order
     cap = min(max_order, MAX_GROUP_ORDER)
     if order > cap:
@@ -61,24 +62,23 @@ def direct_product(
     da = A.degree
 
     def pair(a: Permutation, b: Permutation) -> Permutation:
-        return Permutation(tuple(a.images) + tuple(v + da for v in b.images))
+        return Permutation(a.images + tuple(v + da for v in b.images))
 
-    elements = [pair(a, b) for a in A.elements for b in B.elements]
     ea, eb = A.elements[A.identity_index], B.elements[B.identity_index]
     gens = [pair(A.elements[i], eb) for i in A.generating_indices()]
     gens += [pair(ea, B.elements[j]) for j in B.generating_indices()]
-    return FiniteGroup(da + B.degree, elements, generator_perms=gens or None)
+    return generate_group(da + B.degree, gens, max_order=max_order)
 
 
 def automorphism_group(A: FiniteGroup, max_base: int = DEFAULT_AUT_CAP) -> FiniteGroup:
     """All automorphisms of A, realized as permutations of A's element
-    indices and closed into a group of degree |A|."""
+    indices and closed into a group of degree |A|, with all of them as its
+    generators.  One of order above the default order cap is refused."""
     if A.order > max_base:
         raise GroupError(
             f"automorphism search cap exceeded: group order {A.order} > {max_base}"
         )
-    perms = [Permutation(phi) for phi in iter_isomorphisms(A, A)]
-    return FiniteGroup(A.order, perms)
+    return generate_group(A.order, [Permutation(phi) for phi in iter_isomorphisms(A, A)])
 
 
 def automorphism_from_generator_images(

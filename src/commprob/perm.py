@@ -2,9 +2,10 @@
 
 Elements are permutations of {0, ..., degree-1} in one-line image form.
 Composition reads left to right: ``p * q`` applies ``p`` first, then ``q``.
-A :class:`FiniteGroup` is a fully enumerated element list sorted
-lexicographically by image tuple, so element indices are deterministic
-across runs and can be used as stable element names everywhere else.
+A :class:`FiniteGroup` is a Cayley table over element indices in
+canonical order (for a closure, its image tuples sorted lexicographically),
+so element indices are deterministic across runs and can be used as stable
+element names everywhere else.
 """
 
 from __future__ import annotations
@@ -110,75 +111,31 @@ class Permutation:
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group with canonical element order.
+    """A finite group as rows, generators and a memo.
 
-    Every product is a lookup in the Cayley table, which is built on first
-    use (the first :meth:`mul` or :meth:`multiplication_table` call), not
-    at construction.  It is stored as one 16-bit ``array('H')`` row per
-    element, 2 * |G|^2 bytes in all: about 1 MB for S6, about 50 MB at the
-    default order cap of 5000.  Only the generators' rows are composed from
-    permutations; every other row is the row of a known element gathered
-    at the entries of a generator's row (right multiplication), one C-level
-    ``itemgetter`` per generator.  Element indices must fit in 16 bits, so
-    groups of order above :data:`MAX_GROUP_ORDER` are refused.  An element
-    set not closed under composition is refused when the table is built.
+    The rows are its Cayley table, one 16-bit ``array('H')`` per element:
+    ``rows[i][j]`` is the index of i times j (apply i first, then j), and
+    index 0 is the identity.  That takes 2 * |G|^2 bytes, about 1 MB for S6
+    and 50 MB at the default order cap of 5000; orders above
+    :data:`MAX_GROUP_ORDER` do not fit 16-bit indices and are refused.
 
-    Groups that are their own right regular representation are given by
-    their Cayley table alone (see :meth:`from_table`, which also checks that
-    the generators generate it): quotients and standalone subgroups, with
-    tables read off the parent's (G/1 and G as its own subgroup share its
-    rows and memo), and the cyclic, quaternion and semidirect catalog groups,
-    with tables written by their constructors.  Their :attr:`elements`, the
-    right regular permutations of degree |G|, are built on first read.
+    ``FiniteGroup(...)`` is not public.  :func:`generate_group` closes
+    permutations and hands over the identity's and the generators' rows,
+    keeping the sorted permutations as :attr:`elements`; the other rows are
+    filled on first use (:meth:`multiplication_table`).  :meth:`from_table`
+    takes and checks a whole table (quotients, standalone subgroups, cyclic,
+    quaternion and semidirect groups); its :attr:`elements`, the right
+    regular permutations of degree |G|, are built on first read.
 
-    The group is immutable after construction and safe to share read-only
-    across threads: two threads that both use it first may each build the
-    table, but they store identical rows.  Invariants are memoized the same
-    way; inverses come from the checks made at construction.
+    Immutable after construction and safe to share read-only across threads:
+    two threads that both use it first may each fill a copy of the rows, but
+    they publish identical tables.  Invariants are memoized the same way.
     """
 
     __slots__ = (
-        "degree", "identity_index", "_elements", "_index", "_gens", "_table", "_cache", "_hash",
+        "degree", "identity_index", "_elements", "_index", "_gens", "_rows", "_table", "_cache",
+        "_hash",
     )
-
-    def __init__(
-        self,
-        degree: int,
-        elements: Iterable[Permutation],
-        generator_perms: Sequence[Permutation] | None = None,
-    ):
-        els = sorted(set(elements), key=lambda p: p.images)
-        if not els:
-            raise GroupError("a group needs at least the identity element")
-        if len(els) > MAX_GROUP_ORDER:
-            raise GroupError(
-                f"group order {len(els)} exceeds the limit of {MAX_GROUP_ORDER} "
-                "(element indices are 16-bit)"
-            )
-        for p in els:
-            if p.degree != degree:
-                raise GroupError(
-                    f"degree mismatch: expected {degree}, got {p.degree}"
-                )
-        self.degree = degree
-        self._elements: tuple[Permutation, ...] | None = tuple(els)
-        self._index = {p.images: i for i, p in enumerate(els)}
-        ident = tuple(range(degree))
-        if ident not in self._index:
-            raise GroupError("element set does not contain the identity")
-        self.identity_index = self._index[ident]
-        invs = [self._index.get(p.inverse().images, -1) for p in els]  # kept for inv()
-        if -1 in invs:
-            raise GroupError(f"element set is missing the inverse of {els[invs.index(-1)]!r}")
-        if generator_perms is None:
-            self._gens = None
-        elif any(g.images not in self._index for g in generator_perms):
-            raise GroupError("a generator is not in the element set")
-        else:
-            self._gens = tuple(self._index[g.images] for g in generator_perms)
-        self._table: tuple[array, ...] | None = None
-        self._cache: dict = {"inv": tuple(invs)}
-        self._hash: int | None = None
 
     @classmethod
     def from_table(cls, rows: Sequence[array], gens: Sequence[int]) -> "FiniteGroup":
@@ -204,22 +161,27 @@ class FiniteGroup:
 
     @classmethod
     def _over_table(
-        cls, rows: tuple[array, ...], gens: Sequence[int], cache: dict | None = None
+        cls, rows: Sequence, gens: Sequence[int], cache: dict | None = None, elements=None
     ) -> "FiniteGroup":
-        """The group over ``rows`` uncopied and unchecked: some group's own
-        table.  Passing that group's ``_cache`` makes the two share it;
-        ``inv`` reads the inverses from ``cache["inv"]``."""
+        """The group over ``rows`` uncopied and unchecked.  Either they are
+        some group's whole table and ``cache["inv"]`` holds its inverses
+        (passing that group's ``_cache`` makes the two share it), or only the
+        identity's and the generators' rows are filled, None elsewhere, and
+        the table comes on first use.  ``elements`` are the permutations the
+        indices name; by default the right regular ones of degree |G|."""
         group = cls.__new__(cls)
-        group.degree, group.identity_index, group._elements, group._index = len(rows), 0, None, None
-        group._gens, group._table, group._hash = tuple(gens), rows, None
+        group.identity_index, group._index, group._gens, group._hash = 0, None, tuple(gens), None
+        group._elements, group._rows = elements, rows
+        group.degree = len(rows) if elements is None else elements[0].degree
         group._cache = {} if cache is None else cache
+        group._table = rows if "inv" in group._cache else None  # whole, with its inverses
         return group
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._elements or self._table)
+        return len(self._rows)
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
@@ -263,6 +225,8 @@ class FiniteGroup:
         return (self._table or self.multiplication_table())[i][j]
 
     def inv(self, i: int) -> int:
+        if self._table is None:
+            self.multiplication_table()
         return self._cache["inv"][i]
 
     def conjugate(self, x: int, g: int) -> int:
@@ -270,53 +234,21 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(g), x), g)
 
     def multiplication_table(self) -> tuple[array, ...]:
-        """The Cayley table, ``table[i][j] == mul(i, j)``: built on the first
-        call, then returned as stored.
-
-        Only generator rows are composed from permutations, |G| products
-        each; every other row is filled by right multiplication from the
-        identity (:func:`_fill_rows`): ``row[k*g][z] == row[k][row[g][z]]``,
-        one gather per row through one ``itemgetter`` per generator.  A group
-        built without generators gets the greedy ones (see
-        :meth:`generating_indices`) as a by-product: each element outside the
-        subgroup filled so far becomes a generator, in index order.
-        """
-        if self._table is not None:
-            return self._table
-        n = self.order
-        rows: list = [None] * n
-        rows[self.identity_index] = array("H", range(n))
-        gens: list[int] = []
-        reached = 1
-        for g in self._gens or range(n):
-            if reached == n:
-                break
-            if rows[g] is not None:  # already in the subgroup generated so far
-                continue
-            # g is not the identity, so degree >= 2 and take() returns a tuple
-            take = itemgetter(*self.elements[g].images)
-            try:
-                rows[g] = array("H", [self._index[take(q.images)] for q in self.elements])
-            except KeyError:
-                raise GroupError("element set is not closed under composition") from None
-            gens.append(g)
-            reached = _fill_rows(rows, gens, self.identity_index)
-        if reached != n:
-            raise GroupError("generating set does not generate the group")
-        if not self._gens:
-            self._gens = tuple(gens)
-        self._table = tuple(rows)
+        """The Cayley table, ``table[i][j] == mul(i, j)``.  On the first call
+        of a group given only its generators' rows, a copy of them is filled
+        by right multiplication (:func:`_fill_rows`) and published with the
+        inverses read off it (:func:`_inverses`), never half-filled."""
+        if self._table is None:
+            rows = list(self._rows)
+            _fill_rows(rows, self._gens, 0)
+            self._cache["inv"] = _inverses(rows, self._gens, 0)
+            self._table = tuple(rows)
         return self._table
 
     def generating_indices(self) -> tuple[int, ...]:
-        """A small generating sequence, deterministic for a given group.
-
-        Returns the generators recorded at construction when available,
-        otherwise a greedy minimal sequence in canonical element order.
-        """
-        if not self._gens:
-            self.multiplication_table()
-        return self._gens  # type: ignore[return-value]
+        """The generators the group was built from, deterministic for a
+        given group: the closure's, repeats dropped, or the table's."""
+        return self._gens
 
 
 def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
@@ -415,9 +347,15 @@ def generate_group(
     generators: Sequence[Permutation],
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    """Breadth-first closure of {identity} | generators under composition,
-    walked over image tuples: a :class:`Permutation` is made once per
-    element, unchecked, since products of bijections are bijections.
+    """The group generated by the permutations (repeats dropped, order kept).
+
+    A breadth-first closure from the identity by left multiplication, over
+    image tuples: a :class:`Permutation` is made once per element,
+    unchecked, since products of bijections are bijections.  The walk meets
+    g * p for every generator g and every element p, so it records each
+    generator's row of the Cayley table as it goes.  The image tuples are
+    sorted once into canonical order (the identity first), those rows are
+    relabelled to it, and the rest of the table is filled on first use.
 
     Raises :class:`OrderCapExceeded` (naming the cap) as soon as the closure
     grows past ``max_order`` or :data:`MAX_GROUP_ORDER` elements, and
@@ -431,19 +369,31 @@ def generate_group(
                 f"generator degree {g.degree} does not match group degree {degree}"
             )
     cap = min(max_order, MAX_GROUP_ORDER)
-    gens = list(dict.fromkeys(generators))
-    steps = [g.images.__getitem__ for g in gens]
+    gens = [g.images for g in dict.fromkeys(generators)]
     walk = [tuple(range(degree))]
-    seen = set(walk)
+    pos = {walk[0]: 0}
+    cols: list[list[int]] = [[] for _ in gens]  # cols[i][k]: position of gens[i] * walk[k]
     for p in walk:  # also visits what the loop appends
-        for take_g in steps:
-            q = tuple(map(take_g, p))  # p first, then g
-            if q not in seen:
-                if len(seen) >= cap:
+        take_p = p.__getitem__
+        for g, col in zip(gens, cols):
+            q = tuple(map(take_p, g))  # g first, then p
+            k = pos.get(q)
+            if k is None:
+                if len(walk) >= cap:
                     raise OrderCapExceeded(f"group closure exceeded the order cap of {cap}")
-                seen.add(q)
+                k = pos[q] = len(walk)
                 walk.append(q)
-    return FiniteGroup(degree, map(Permutation._unchecked, walk), generator_perms=gens)
+            col.append(k)
+    canonical = sorted(range(len(walk)), key=walk.__getitem__)  # index -> walk position
+    rank = [0] * len(walk)  # walk position -> index
+    for i, k in enumerate(canonical):
+        rank[k] = i
+    rows: list = [None] * len(walk)
+    rows[0] = array("H", range(len(walk)))
+    for g, col in zip(gens, cols):
+        rows[rank[pos[g]]] = array("H", [rank[col[k]] for k in canonical])
+    elements = tuple(Permutation._unchecked(walk[k]) for k in canonical)
+    return FiniteGroup._over_table(rows, [rank[pos[g]] for g in gens], elements=elements)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
@@ -451,12 +401,15 @@ def element_order(G: FiniteGroup, x: int) -> int:
     if not 0 <= x < G.order:
         raise IndexError(f"element index {x} out of range for group of order {G.order}")
     orders = G._cache.get("orders")
-    if orders is None:  # power each element in the table until it reaches the identity
-        rows, orders = G.multiplication_table(), []
+    if orders is None:  # one walk per cyclic subgroup: ord(y^k) = o / gcd(k, o)
+        rows, orders = G.multiplication_table(), [0] * G.order
         for y in range(G.order):
-            z, m = y, 1
-            while z != G.identity_index:
-                z, m = rows[z][y], m + 1
-            orders.append(m)
+            if not orders[y]:
+                powers = [y]
+                while powers[-1] != G.identity_index:
+                    powers.append(rows[powers[-1]][y])
+                o = len(powers)
+                for k, z in enumerate(powers, 1):
+                    orders[z] = o // math.gcd(k, o)
         G._cache["orders"] = orders = tuple(orders)
     return orders[x]

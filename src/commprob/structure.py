@@ -361,9 +361,9 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
     G's; also return the map parent index -> new index.
 
     The new canonical order is the order of H's member indices, and the
-    new group records the greedy generators it would choose itself, found
-    by closing in G's table.  G itself shares G's rows and memo, with ``pos``
-    the identity.
+    new group's generators are H's greedy ones (:func:`subgroup_gens`),
+    found by closing in G's table.  G itself shares G's rows and memo, with
+    ``pos`` the identity.
     """
     key = ("as_group", H.member_indices)
 
@@ -491,7 +491,9 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005): the first map of :func:`~commprob.perm._generator_maps`, the
     search that finds isomorphisms, from the generators q of G/N to the
-    members of their cosets, in index order.  Memoized per N.
+    members of their cosets, in index order.  Only the irredundant
+    generators are lifted: the lift of one in the span of those before it
+    is forced, so dropping it changes no section found.  Memoized per N.
     """
     if not is_normal(G, N):
         raise NotNormal("complements are searched for normal subgroups only")
@@ -500,7 +502,7 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
 
     def compute():
         Q, pi = quotient_with_map(G, N)
-        gens = Q.generating_indices()
+        gens = _closure(Q, Q.generating_indices())[1]
         sections = _generator_maps(
             Q.multiplication_table(), Q.identity_index, gens,
             [[x for x in range(G.order) if pi[x] == q] for q in gens],

@@ -232,6 +232,30 @@ def test_isoclinic_group_files(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["isoclinic"] is False
 
 
+def test_isoclinic_name_and_one_file_reads_the_file_as_second(tmp_path, capsys):
+    a4 = tmp_path / "a4.grp"
+    a4.write_text(A4_FILE)
+    assert main(["isoclinic", "--name", "C2xA4", str(a4)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"first": "C2xA4", "second": str(a4), "isoclinic": True}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isoclinic", "--name", "A4", "a4.grp", "s3.grp"],
+        ["isoclinic", "--name", "A4", "a4.grp", "--name2", "S3"],
+    ],
+    ids=["name-and-two-paths", "name-path-and-name2"],
+)
+def test_isoclinic_name_with_a_first_path_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("a4.grp").write_text(A4_FILE)
+    Path("s3.grp").write_text("3\n1 0 2\n1 2 0\n")
+    assert main(argv) == 2
+    assert "exactly one of a catalog --name or a group file path" in _single_line_error(capsys)
+
+
 def test_isoclinic_without_first_group_exit_2(capsys):
     assert main(["isoclinic", "--name2", "A4"]) == 2
     assert "exactly one of a catalog --name or a group file path" in _single_line_error(capsys)
@@ -323,9 +347,17 @@ def test_construct_semidirect_from_group_files(tmp_path, capsys):
 
 
 def test_construct_describe(capsys):
+    # C2xC2 is a direct product: its element indexing and generators are pinned
     assert main(["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--describe"]) == 0
-    out = capsys.readouterr().out
-    assert "order 4" in out and "acting generator indices" in out
+    assert capsys.readouterr().out == (
+        "# N: order 4; element index -> images\n"
+        "#   0: 0 1 2 3\n"
+        "#   1: 0 1 3 2\n"
+        "#   2: 1 0 2 3\n"
+        "#   3: 1 0 3 2\n"
+        "# H: order 3; acting generator indices: [1]\n"
+        "# action file: first line |N|, then one image line per acting generator\n"
+    )
 
 
 def test_construct_rejects_bad_action(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import sys
+import threading
+import time
 from array import array
-from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,6 @@ from commprob.perm import (
     element_order,
     generate_group,
 )
-
-from oracles import oracle_greedy_generators
 
 THREE_CYCLE = Permutation([1, 2, 0])
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])]
@@ -144,10 +144,11 @@ def test_inverse_table(cat):
 
 
 def test_order_above_16_bit_limit_refused():
-    # distinct degree-9 permutations; the order check comes before any other
-    too_many = islice(map(Permutation, permutations(range(9))), MAX_GROUP_ORDER + 1)
+    # S9 has order 362880: a max_order above 65536 does not lift the limit,
+    # the closure stops as it passes it
+    cycle, swap = Permutation([*range(1, 9), 0]), Permutation([1, 0, *range(2, 9)])
     with pytest.raises(GroupError, match=str(MAX_GROUP_ORDER)):
-        FiniteGroup(9, too_many)
+        generate_group(9, [cycle, swap], max_order=400_000)
 
 
 @pytest.mark.parametrize(
@@ -172,23 +173,6 @@ def test_table_generators_must_generate(gens):
     rows = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])]).multiplication_table()
     with pytest.raises(GroupError, match="not a group table generated by"):
         FiniteGroup.from_table(rows, gens)
-
-
-def test_element_set_not_closed_is_refused_when_the_table_is_built():
-    # every element is its own inverse, but (0 1)(1 2) is not in the set;
-    # the table, and with it the refusal, comes on first use
-    els = [Permutation.identity(3), Permutation([1, 0, 2]), Permutation([0, 2, 1])]
-    for gens in (None, els[1:]):
-        G = FiniteGroup(3, els, generator_perms=gens)
-        assert G._table is None
-        with pytest.raises(GroupError, match="not closed"):
-            G.mul(1, 2)
-
-
-def test_generator_outside_the_element_set_refused():
-    els = [Permutation.identity(3), Permutation([1, 0, 2])]
-    with pytest.raises(GroupError, match="not in the element set"):
-        FiniteGroup(3, els, generator_perms=[Permutation([0, 2, 1])])
 
 
 def test_closure_checks_no_product(monkeypatch):
@@ -245,10 +229,6 @@ def test_kernel_matches_permutation_products(spec):
         for i in range(group.order):
             assert group.elements[group.inv(i)] == group.elements[i].inverse()
             assert element_order(group, i) == group.elements[i].order()
-    # the same elements without generators: the table walk picks greedy ones
-    bare = FiniteGroup(degree, els)
-    assert bare.generating_indices() == oracle_greedy_generators(bare)
-    assert bare.multiplication_table() == G.multiplication_table()
 
 
 def composed_table(G):
@@ -275,8 +255,38 @@ def test_kernel_skips_identity_generators():
     G = generate_group(4, [ident, *A4_GENS, ident])
     assert G.generating_indices()[0] == G.identity_index
     assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
-    bare = FiniteGroup(4, G.elements, generator_perms=[ident, A4_GENS[0], ident, A4_GENS[1]])
+    bare = generate_group(4, [ident, A4_GENS[0], ident, A4_GENS[1]])
     assert bare.multiplication_table() == G.multiplication_table()
+
+
+def test_first_use_from_several_threads_sees_a_whole_table():
+    # threads racing to the first use each fill a copy of the generator rows;
+    # every one must read the whole table and its inverses, never a part,
+    # also when it arrives while another is still filling (staggered starts)
+    s5_gens = [Permutation([1, 2, 3, 4, 0]), Permutation([1, 0, 2, 3, 4])]
+    reference = generate_group(5, s5_gens)
+    expected = ([reference.inv(i) for i in range(120)], reference.multiplication_table())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            G = generate_group(5, s5_gens)
+            seen, start = [], threading.Barrier(8)
+
+            def use(delay):
+                start.wait(timeout=30)
+                time.sleep(delay)
+                seen.append(([G.inv(i) for i in range(G.order)], G.multiplication_table()))
+
+            threads = [threading.Thread(target=use, args=(k / 2000,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_kernel_fills_only_what_the_generators_reach():

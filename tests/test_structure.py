@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commprob.constructors import _dihedral, cyclic, direct_product, named
-from commprob.perm import FiniteGroup, GroupError, OrderCapExceeded, Permutation, generate_group
+from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.structure import (
     NotNormal,
     Subgroup,
@@ -539,7 +539,7 @@ def test_hash_is_not_shared_through_the_memo():
     hash(Q)
     G2 = named("S4")
     assert G == G2 and hash(G) == hash(G2)
-    assert Q != G and hash(Q) == hash(FiniteGroup(Q.degree, Q.elements))
+    assert Q != G and hash(Q) == hash(generate_group(Q.degree, Q.elements))
 
 
 # -- property tests -------------------------------------------------------------
