@@ -18,8 +18,6 @@ from .structure import (
     Subgroup,
     as_group,
     center,
-    centralizer,
-    classes_inside,
     conjugacy_classes,
     derived_series,
     derived_subgroup,
@@ -30,7 +28,6 @@ from .structure import (
     is_solvable,
     is_supersolvable,
     lower_central_series,
-    minimal_normal_subgroups,
     normal_closure,
     normal_subgroups,
     quotient,
@@ -47,7 +44,7 @@ from .probability import (
     derived_order_bound_witness,
     gallagher_check,
 )
-from .isomorphism import are_isomorphic, find_isomorphism, iter_isomorphisms
+from .isomorphism import iter_isomorphisms
 from .isoclinism import (
     IsoclinismWitness,
     PairingStructure,
@@ -55,19 +52,16 @@ from .isoclinism import (
     commutator_pairing,
     find_isoclinism,
     is_stem,
-    verify_isoclinism_witness,
 )
 from .constructors import (
     ActionSpec,
     automorphism_from_generator_images,
-    automorphism_group,
     catalog,
     catalog_keys,
     cyclic,
     direct_product,
     named,
     semidirect_product,
-    trivial_action,
 )
 from .theorems import (
     GroupReport,

@@ -218,6 +218,8 @@ def _cmd_verify(args) -> int:
         raise GroupError("verify needs --all, --name, or a group file path")
     if args.all and (args.name is not None or args.path is not None):
         raise GroupError("verify --all takes no --name or group file path")
+    if args.all and args.theorem != "all":
+        raise GroupError("verify --all runs every theorem; it takes no --theorem")
     if args.theorem != "all":
         G, label = _load_group(args)
         verdict = _single_verdict(args, G, label)
@@ -323,7 +325,7 @@ def _cmd_construct(args) -> int:
     keys = catalog_orders()
     N = named(args.n) if args.n in keys else _read_group(args.n, args.max_order)
     H = named(args.h) if args.h in keys else _read_group(args.h, args.max_order)
-    if args.h_gens:
+    if args.h_gens is not None:
         parts = args.h_gens.split(",")
         if not all(p.strip().isdecimal() and int(p) < H.order for p in parts):
             raise GroupError(f"--h-gens must be indices in 0..{H.order - 1}, not {args.h_gens!r}")

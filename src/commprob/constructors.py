@@ -1,5 +1,5 @@
 """Constructors for the built-in catalog: cyclic groups, direct and
-semidirect products, automorphism groups, and named groups.
+semidirect products, and named groups.
 
 Semidirect convention (fixed): the acting group H acts on N on the right,
 h |-> (n |-> n^h), and the product multiplies as
@@ -31,9 +31,7 @@ from .perm import (
     _fill_rows,
     generate_group,
 )
-from .isomorphism import extend_to_isomorphism, iter_isomorphisms
-
-DEFAULT_AUT_CAP = 32
+from .isomorphism import extend_to_isomorphism
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -70,17 +68,6 @@ def direct_product(
     return generate_group(da + B.degree, gens, max_order=max_order)
 
 
-def automorphism_group(A: FiniteGroup, max_base: int = DEFAULT_AUT_CAP) -> FiniteGroup:
-    """All automorphisms of A, realized as permutations of A's element
-    indices and closed into a group of degree |A|, with all of them as its
-    generators.  One of order above the default order cap is refused."""
-    if A.order > max_base:
-        raise GroupError(
-            f"automorphism search cap exceeded: group order {A.order} > {max_base}"
-        )
-    return generate_group(A.order, [Permutation(phi) for phi in iter_isomorphisms(A, A)])
-
-
 def automorphism_from_generator_images(
     N: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...]:
@@ -102,12 +89,6 @@ class ActionSpec(NamedTuple):
 
     acting_generators: tuple[int, ...]
     automorphism_images: tuple[tuple[int, ...], ...]
-
-
-def trivial_action(N: FiniteGroup, H: FiniteGroup) -> ActionSpec:
-    ident = tuple(range(N.order))
-    gens = H.generating_indices()
-    return ActionSpec(tuple(gens), tuple(ident for _ in gens))
 
 
 def _validate_automorphism(N: FiniteGroup, img: tuple[int, ...], label: str) -> None:

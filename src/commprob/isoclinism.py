@@ -72,7 +72,7 @@ def commutator_pairing(G: FiniteGroup) -> PairingStructure:
                     raise GroupError("commutator pairing is not well defined")
         return PairingStructure(Q, D, tuple(pairing))
 
-    return _cached(G, ("pairing", G.generating_indices()), compute)  # Q's gens are G's
+    return _cached(G, "pairing", compute)
 
 
 def is_stem(G: FiniteGroup) -> bool:
@@ -126,30 +126,3 @@ def find_isoclinism(G: FiniteGroup, H: FiniteGroup) -> IsoclinismWitness | None:
 
 def are_isoclinic(G: FiniteGroup, H: FiniteGroup) -> bool:
     return find_isoclinism(G, H) is not None
-
-
-def verify_isoclinism_witness(
-    G: FiniteGroup, H: FiniteGroup, witness: IsoclinismWitness
-) -> bool:
-    """Re-check a witness from scratch: both maps must be bijective
-    homomorphisms and the compatibility square must commute on all pairs."""
-    pg = commutator_pairing(G)
-    ph = commutator_pairing(H)
-    phi, psi = witness.quotient_iso, witness.derived_iso
-    qa, qb = pg.inner_quotient, ph.inner_quotient
-    if sorted(phi) != list(range(qb.order)) or sorted(psi) != list(
-        range(ph.derived.order)
-    ):
-        return False
-    for x in range(qa.order):
-        for y in range(qa.order):
-            if phi[qa.mul(x, y)] != qb.mul(phi[x], phi[y]):
-                return False
-            if psi[pg.pairing[x][y]] != ph.pairing[phi[x]][phi[y]]:
-                return False
-    da, db = pg.derived, ph.derived
-    for x in range(da.order):
-        for y in range(da.order):
-            if psi[da.mul(x, y)] != db.mul(psi[x], psi[y]):
-                return False
-    return True

@@ -79,14 +79,3 @@ def iter_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[list[int]]:
         G.multiplication_table(), G.identity_index, gens, candidates,
         H.multiplication_table(), H.identity_index,
     )
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
-    """First isomorphism found in canonical search order, else None."""
-    for phi in iter_isomorphisms(G, H):
-        return phi
-    return None
-
-
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return find_isomorphism(G, H) is not None

@@ -60,13 +60,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Apply self first, then other."""
         if self.degree != other.degree:
@@ -74,31 +67,6 @@ class Permutation:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
         return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation._unchecked(tuple(inv))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def order(self) -> int:
-        """Least m >= 1 with p^m equal to the identity (lcm of cycle lengths)."""
-        n = len(self.images)
-        seen = [False] * n
-        o = 1
-        for i in range(n):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = self.images[j]
-                    length += 1
-                o = math.lcm(o, length)
-        return o
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -134,7 +102,6 @@ class FiniteGroup:
 
     __slots__ = (
         "degree", "identity_index", "_elements", "_index", "_gens", "_rows", "_table", "_cache",
-        "_hash",
     )
 
     @classmethod
@@ -157,24 +124,23 @@ class FiniteGroup:
             raise GroupError("not a group table with identity 0 on 0..n-1")
         if any(not 0 <= g < n for g in gens) or -1 in (invs := _inverses(rows, gens, 0)):
             raise GroupError(f"not a group table generated by {list(gens)}")
-        return cls._over_table(tuple(rows), gens, {"inv": invs})  # the walk serves inv()
+        return cls._over_table(tuple(rows), gens, invs)  # the walk serves inv()
 
     @classmethod
     def _over_table(
-        cls, rows: Sequence, gens: Sequence[int], cache: dict | None = None, elements=None
+        cls, rows: Sequence, gens: Sequence[int], invs: tuple | None = None, elements=None
     ) -> "FiniteGroup":
-        """The group over ``rows`` uncopied and unchecked.  Either they are
-        some group's whole table and ``cache["inv"]`` holds its inverses
-        (passing that group's ``_cache`` makes the two share it), or only the
-        identity's and the generators' rows are filled, None elsewhere, and
-        the table comes on first use.  ``elements`` are the permutations the
-        indices name; by default the right regular ones of degree |G|."""
+        """The group over ``rows`` uncopied and unchecked.  Either they are a
+        whole table and ``invs`` its inverses, or only the identity's and the
+        generators' rows are filled, None elsewhere, and the table comes on
+        first use.  ``elements`` are the permutations the indices name; by
+        default the right regular ones of degree |G|."""
         group = cls.__new__(cls)
-        group.identity_index, group._index, group._gens, group._hash = 0, None, tuple(gens), None
+        group.identity_index, group._index, group._gens = 0, None, tuple(gens)
         group._elements, group._rows = elements, rows
         group.degree = len(rows) if elements is None else elements[0].degree
-        group._cache = {} if cache is None else cache
-        group._table = rows if "inv" in group._cache else None  # whole, with its inverses
+        group._cache = {} if invs is None else {"inv": invs}
+        group._table = None if invs is None else rows
         return group
 
     # -- basic queries ---------------------------------------------------
@@ -189,31 +155,13 @@ class FiniteGroup:
             self._elements = tuple(map(Permutation, zip(*self._table)))
         return self._elements
 
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        if self._index is None:
-            self._index = {p.images: i for i, p in enumerate(self.elements)}
-        return self._index
-
     def index_of(self, p: Permutation) -> int:
+        if self._index is None:
+            self._index = {q.images: i for i, q in enumerate(self.elements)}
         try:
-            return self._positions()[p.images]
+            return self._index[p.images]
         except KeyError:
             raise GroupError(f"{p!r} is not an element of this group") from None
-
-    def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.images in self._positions()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:  # not in _cache, which groups over one table may share
-            self._hash = hash((self.degree, tuple(p.images for p in self.elements)))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} degree={self.degree}>"

@@ -1,6 +1,6 @@
 """Subgroup-level structure of finite permutation groups.
 
-Centers, centralizers, conjugacy classes, derived and normal structure,
+Centers, conjugacy classes, derived and normal structure,
 quotients, complements, and the solvable / nilpotent / supersolvable
 classifiers.  Everything operates on element indices of an immutable
 :class:`~commprob.perm.FiniteGroup`; results are memoized on the group.
@@ -20,9 +20,8 @@ class NotNormal(GroupError):
 
 class Subgroup:
     """A subset of a parent group's element indices closed under its
-    multiplication.  Compared and hashed by member indices; groups that
-    share one ``_cache`` (G, G/1 and G as its own subgroup) count as one
-    parent, since they share their table and what is memoized on it."""
+    multiplication.  Compared by parent and member indices, hashed by member
+    indices."""
 
     __slots__ = ("parent", "member_indices", "_mset")
 
@@ -49,7 +48,7 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
-            and self.parent._cache is other.parent._cache
+            and self.parent is other.parent
             and self.member_indices == other.member_indices
         )
 
@@ -132,7 +131,7 @@ def subgroup_gens(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
     return _cached(G, ("gens", H.member_indices), lambda: _closure(G, H.member_indices)[1])
 
 
-# -- centers, centralizers, classes ------------------------------------------
+# -- centers and classes -----------------------------------------------------
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -148,14 +147,6 @@ def center(G: FiniteGroup) -> Subgroup:
         return Subgroup(G, members)
 
     return _cached(G, "center", compute)
-
-
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    """All g with gx = xg; the class size of x equals its index."""
-    _check_index(G, x)
-    return Subgroup(
-        G, (g for g in range(G.order) if G.mul(g, x) == G.mul(x, g))
-    )
 
 
 def _commute(G: FiniteGroup, gens: Sequence[int]) -> bool:
@@ -227,19 +218,12 @@ def class_size_map(G: FiniteGroup) -> tuple[int, ...]:
     return _cached(G, "class_sizes", compute)
 
 
-def classes_inside(G: FiniteGroup, N: Subgroup) -> list[ConjugacyClass]:
-    """The G-classes entirely contained in the normal subgroup N."""
-    if not is_normal(G, N):
-        raise NotNormal("classes_inside requires a normal subgroup")
-    return [c for c in conjugacy_classes(G) if c.representative in N]
-
-
 # -- normality and the normal subgroup lattice --------------------------------
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """True iff gHg^-1 = H for all g (tested on generators of both sides); memoized."""
-    if H.parent._cache is not G._cache:
+    if H.parent is not G:
         raise GroupError("subgroup does not belong to this group")
 
     def compute():
@@ -288,21 +272,6 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return _cached(G, "normal_subgroups", compute)
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Minimal elements among the nontrivial normal subgroups."""
-    if G.order == 1:
-        raise GroupError("the trivial group has no minimal normal subgroups")
-    nontrivial = [n for n in normal_subgroups(G) if not n.is_trivial()]
-    out = []
-    for n in nontrivial:
-        nset = set(n.member_indices)
-        if not any(
-            m is not n and set(m.member_indices) < nset for m in nontrivial
-        ):
-            out.append(n)
-    return out
-
-
 # -- quotients and subgroups as standalone groups ------------------------------
 
 
@@ -322,11 +291,8 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
 def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[int]) -> FiniteGroup:
     """The group on G's ``elements`` (coset representatives or subgroup
     members) whose product of x and y is ``label[x*y]`` in G, with the
-    given generators.  Every element of G under the identity label is G
-    itself, over G's own table rows, uncopied, and sharing G's memo."""
+    given generators; :meth:`FiniteGroup.from_table` checks the table."""
     rows = G.multiplication_table()
-    if len(elements) == G.order:
-        return FiniteGroup._over_table(rows, gens, G._cache)
     table = [array("H", [label[rows[x][y]] for y in elements]) for x in elements]
     return FiniteGroup.from_table(table, gens)
 
@@ -334,12 +300,13 @@ def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[i
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient G/N, given by its Cayley table on the right cosets of N, plus
     the projection map from G element indices to quotient element indices.
-    G/1 is G with the identity map, over G's own table rows, uncopied, and
-    sharing G's memo.  The quotient's generators are the images of G's, so
-    the memo key carries them: a group sharing G's memo may have others."""
+    The quotient's generators are the images of G's.  G/1 is G itself, with
+    the identity map."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
-    key = ("quotient", N.member_indices, G.generating_indices())
+    if N.is_trivial():
+        return G, tuple(range(G.order))
+    key = ("quotient", N.member_indices)
 
     def compute():
         coset_of, reps = _coset_data(G, N)
@@ -362,9 +329,13 @@ def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[in
 
     The new canonical order is the order of H's member indices, and the
     new group's generators are H's greedy ones (:func:`subgroup_gens`),
-    found by closing in G's table.  G itself shares G's rows and memo, with
+    found by closing in G's table.  G as its own subgroup is G itself, with
     ``pos`` the identity.
     """
+    if H.parent is not G:
+        raise GroupError("subgroup does not belong to this group")
+    if H.is_whole():
+        return G, {i: i for i in range(G.order)}
     key = ("as_group", H.member_indices)
 
     def compute():

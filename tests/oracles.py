@@ -3,13 +3,18 @@
 Everything here follows the defining formula directly, with no shortcuts
 shared with the implementation under test: conjugation runs over every
 group element, commutator subgroups close over the full commutator set,
-and the subgroup lattice is enumerated from generating seeds.
+and the subgroup lattice is enumerated from generating seeds.  Two helpers
+are thin wrappers instead: :func:`find_isomorphism` and :func:`are_isomorphic`
+take the first map of the library's isomorphism search.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
+from commprob.isoclinism import IsoclinismWitness, commutator_pairing
+from commprob.isomorphism import iter_isomorphisms
 from commprob.perm import FiniteGroup, Permutation
 
 
@@ -52,7 +57,7 @@ def oracle_greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating sequence in canonical order: every element not in
     the subgroup generated by those chosen before it, until that subgroup
     is G.  Subgroups are closed by composing permutations."""
-    identity = Permutation.identity(G.degree)
+    identity = Permutation(range(G.degree))
     chosen: list[int] = []
     closed = {identity}
     for i, p in enumerate(G.elements):
@@ -243,3 +248,53 @@ def oracle_semidirect_table(N: FiniteGroup, H: FiniteGroup, gen_images) -> list[
         for a in range(N.order)
         for h in range(nh)
     ]
+
+
+def oracle_perm_order(p: Permutation) -> int:
+    """Least m >= 1 with p^m the identity: the lcm of p's cycle lengths."""
+    seen, order = set(), 1
+    for start in range(p.degree):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = p.images[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
+    """First isomorphism of the library's search in canonical order, else None."""
+    return next(iter_isomorphisms(G, H), None)
+
+
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    return find_isomorphism(G, H) is not None
+
+
+def verify_isoclinism_witness(
+    G: FiniteGroup, H: FiniteGroup, witness: IsoclinismWitness
+) -> bool:
+    """Re-check a witness from scratch: both maps must be bijective
+    homomorphisms and the compatibility square must commute on all pairs."""
+    pg = commutator_pairing(G)
+    ph = commutator_pairing(H)
+    phi, psi = witness.quotient_iso, witness.derived_iso
+    qa, qb = pg.inner_quotient, ph.inner_quotient
+    if sorted(phi) != list(range(qb.order)) or sorted(psi) != list(
+        range(ph.derived.order)
+    ):
+        return False
+    for x in range(qa.order):
+        for y in range(qa.order):
+            if phi[qa.mul(x, y)] != qb.mul(phi[x], phi[y]):
+                return False
+            if psi[pg.pairing[x][y]] != ph.pairing[phi[x]][phi[y]]:
+                return False
+    da, db = pg.derived, ph.derived
+    for x in range(da.order):
+        for y in range(da.order):
+            if psi[da.mul(x, y)] != db.mul(psi[x], psi[y]):
+                return False
+    return True

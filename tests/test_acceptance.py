@@ -12,9 +12,10 @@ from fractions import Fraction
 import pytest
 
 from commprob.cli import main as cli_main
-from commprob.constructors import automorphism_group, catalog, named
-from commprob.isoclinism import are_isoclinic, find_isoclinism, verify_isoclinism_witness
-from commprob.isomorphism import are_isomorphic
+from commprob.constructors import catalog, named
+from commprob.isoclinism import are_isoclinic, find_isoclinism
+from commprob.isomorphism import iter_isomorphisms
+from commprob.perm import Permutation, generate_group
 from commprob.probability import (
     commuting_pairs_oracle,
     commuting_probability,
@@ -29,6 +30,8 @@ from commprob.structure import (
     normal_subgroups,
 )
 from commprob.theorems import run_catalog_verification, verify_class_size_theorem
+
+from oracles import are_isomorphic, verify_isoclinism_witness
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -73,9 +76,12 @@ def test_criterion_2_structural_facts():
     a4 = named("A4")
     klein = named("C2xC2")
     derived_ok = are_isomorphic(as_group(a4, derived_subgroup(a4)), klein)
-    aut_v4 = automorphism_group(klein)
+    # Aut(C2xC2): its automorphisms, as permutations of its indices, closed
+    autos = [Permutation(phi) for phi in iter_isomorphisms(klein, klein)]
+    aut_v4 = generate_group(klein.order, autos)
     aut_v4_ok = aut_v4.order == 6 and are_isomorphic(aut_v4, named("S3"))
-    aut_33_ok = automorphism_group(named("C3xC3")).order == 48
+    c3c3 = named("C3xC3")
+    aut_33_ok = len(list(iter_isomorphisms(c3c3, c3c3))) == 48
     _report(
         2,
         derived_ok and aut_v4_ok and aut_33_ok,

@@ -14,8 +14,9 @@ from commprob.cli import (
     parse_group_file,
 )
 import commprob
-from commprob.isomorphism import are_isomorphic
 from commprob.perm import generate_group
+
+from oracles import are_isomorphic
 
 A4_FILE = "4\n1 2 0 3\n1 0 3 2\n"
 
@@ -202,6 +203,12 @@ def test_verify_refuses_a_second_source_exit_2(argv, message, tmp_path, monkeypa
     Path("a4.grp").write_text(A4_FILE)
     assert main(argv) == 2
     assert message in _single_line_error(capsys)
+
+
+def test_verify_all_refuses_a_theorem_selector_exit_2(capsys):
+    # --all always runs every theorem on every catalog group
+    assert main(["verify", "--all", "--theorem", "5/16"]) == 2
+    assert "verify --all runs every theorem; it takes no --theorem" in _single_line_error(capsys)
 
 
 def test_isoclinic_command(capsys):
@@ -406,6 +413,18 @@ def test_construct_h_gens_not_integer_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "--h-gens" in _single_line_error(capsys)
+
+
+def test_construct_h_gens_empty_exit_2(tmp_path, capsys):
+    # an empty list is refused, not read as "H's own generators"
+    action = tmp_path / "rot.act"
+    action.write_text("4\n0 2 3 1\n")
+    code = main(
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3",
+         "--h-gens", "", "--action", str(action)]
+    )
+    assert code == 2
+    assert "--h-gens must be indices in 0..2, not ''" in _single_line_error(capsys)
 
 
 def test_construct_h_gens_out_of_range_exit_2(capsys):
