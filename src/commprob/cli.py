@@ -421,9 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if not 1 <= args.max_order <= MAX_GROUP_ORDER:
-            raise GroupError(
-                f"--max-order must be in 1..{MAX_GROUP_ORDER}, not {args.max_order}"
-            )
+            raise GroupError(f"--max-order must be in 1..{MAX_GROUP_ORDER}, not {args.max_order}")
+        if args.oracle_cap < 1:
+            raise GroupError(f"--oracle-cap must be at least 1, not {args.oracle_cap}")
         if getattr(args, "s", 2) < 2:
             raise GroupError(f"--s must be at least 2, not {args.s}")
         code = args.func(args)

@@ -15,10 +15,11 @@ from .perm import FiniteGroup, GroupError
 from .isomorphism import extend_to_isomorphism, iter_isomorphisms
 from .structure import (
     _cached,
+    _coset_data,
     as_group_with_map,
     center,
     derived_subgroup,
-    quotient_with_map,
+    quotient,
 )
 
 
@@ -53,13 +54,9 @@ def commutator_pairing(G: FiniteGroup) -> PairingStructure:
 
     def compute():
         Z = center(G)
-        Q, pi = quotient_with_map(G, Z)
+        Q, (pi, reps) = quotient(G, Z), _coset_data(G, Z)  # reps: lowest member of each coset
         D, dmap = as_group_with_map(G, derived_subgroup(G))
         rows, inv = G.multiplication_table(), tuple(map(G.inv, range(G.order)))
-        reps = [-1] * Q.order
-        for i in range(G.order):
-            if reps[pi[i]] < 0:
-                reps[pi[i]] = i
 
         def comm(a: int, b: int) -> int:  # index in D of [a, b] = a^-1 b^-1 a b
             return dmap[rows[rows[inv[a]][inv[b]]][rows[a][b]]]

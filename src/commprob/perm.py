@@ -91,7 +91,7 @@ class FiniteGroup:
     permutations and hands over the identity's and the generators' rows,
     keeping the sorted permutations as :attr:`elements`; the other rows are
     filled on first use (:meth:`multiplication_table`).  :meth:`from_table`
-    takes and checks a whole table (quotients, standalone subgroups, cyclic,
+    takes and checks a whole table (G/Z(G), standalone subgroups, cyclic,
     quaternion and semidirect groups); its :attr:`elements`, the right
     regular permutations of degree |G|, are built on first read.
 

@@ -14,11 +14,10 @@ from .perm import FiniteGroup, GroupError
 from .structure import (
     Subgroup,
     _cached,
-    class_size_map,
+    _coset_data,
     conjugacy_classes,
     derived_subgroup,
     is_normal,
-    quotient_with_map,
     subgroup_class_count,
 )
 
@@ -108,20 +107,21 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
     centralizer of every coset gN in G/N is the image of the centralizer of g.
     That image always lies in C_{G/N}(gN) and has order |C_G(g)| / |C_N(g)|,
     so the two are equal iff |N| * |cl_{G/N}(gN)| == |cl_G(g)| * |C_N(g)|.
-    Both sides are invariant under conjugation: one representative per class
-    of G is tested, with |C_N(g)| counted as the bits of C_G(g) and N, both
-    as int bit masks."""
+    G/N is read off N's cosets in G's table: cl_{G/N}(gN) is the set of
+    cosets that cl_G(g) meets, and two classes of G meet the same set or
+    disjoint ones.  One g per class of G is tested, with |C_N(g)| counted
+    as the bits of C_G(g) & N, both int bit masks."""
     if not is_normal(G, N):
         raise GroupError("gallagher_check requires a normal subgroup")
-    Q, pi = quotient_with_map(G, N)
-    k_g, k_q, k_n = class_count(G), class_count(Q), subgroup_class_count(G, N)
-    holds = k_g <= k_q * k_n
-    size_g, size_q, n_mask = class_size_map(G), class_size_map(Q), _bits(N.member_indices)
+    coset_of, classes = _coset_data(G, N)[0], conjugacy_classes(G)
+    images = [frozenset([coset_of[x] for x in c.members]) for c in classes]
+    k_g, k_q, k_n = len(classes), len(set(images)), subgroup_class_count(G, N)
+    n_mask = _bits(N.member_indices)
     equality = all(
-        N.order * size_q[pi[g]] == size_g[g] * (c_mask & n_mask).bit_count()
-        for g, c_mask in _centralizer_masks(G)
+        N.order * len(image) == c.size * (c_mask & n_mask).bit_count()
+        for c, image, (_, c_mask) in zip(classes, images, _centralizer_masks(G))
     )
-    return GallagherResult(holds, equality, k_g, k_q, k_n)
+    return GallagherResult(k_g <= k_q * k_n, equality, k_g, k_q, k_n)
 
 
 BOUND_SATISFIED = "satisfied"

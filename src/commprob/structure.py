@@ -275,17 +275,23 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 # -- quotients and subgroups as standalone groups ------------------------------
 
 
-def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
-    """Right-coset ids (by ascending representative) and representatives."""
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for i in range(G.order):
-        if coset_of[i] < 0:
-            cid = len(reps)
-            reps.append(i)
-            for m in N.member_indices:
-                coset_of[G.mul(m, i)] = cid
-    return coset_of, reps
+def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Right-coset ids of N, numbered in order of their lowest members, and
+    those members: one walk over G's table, memoized per N."""
+
+    def compute():
+        n_rows = [G.multiplication_table()[m] for m in N.member_indices]
+        coset_of, reps = [-1] * G.order, []
+        for i in range(G.order):
+            if coset_of[i] < 0:
+                for row in n_rows:
+                    coset_of[row[i]] = len(reps)
+                reps.append(i)
+        if len(reps) * N.order != G.order:
+            raise GroupError("coset action has the wrong image size")
+        return tuple(coset_of), tuple(reps)
+
+    return _cached(G, ("cosets", N.member_indices), compute)
 
 
 def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[int]) -> FiniteGroup:
@@ -298,10 +304,10 @@ def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[i
 
 
 def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient G/N, given by its Cayley table on the right cosets of N, plus
-    the projection map from G element indices to quotient element indices.
-    The quotient's generators are the images of G's.  G/1 is G itself, with
-    the identity map."""
+    """Quotient G/N as its own group, with its Cayley table on the right
+    cosets of N (:func:`_coset_data`), and the projection map from G's
+    indices to its indices; its generators are the images of G's.  G/1 is G
+    itself, with the identity map.  Built only for G/Z(G), by isoclinism."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
     if N.is_trivial():
@@ -310,10 +316,8 @@ def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[i
 
     def compute():
         coset_of, reps = _coset_data(G, N)
-        if len(reps) * N.order != G.order:
-            raise GroupError("coset action has the wrong image size")
         gens = tuple(dict.fromkeys(coset_of[g] for g in G.generating_indices())) or (0,)
-        return _read_table(G, reps, coset_of, gens), tuple(coset_of)
+        return _read_table(G, reps, coset_of, gens), coset_of
 
     return _cached(G, key, compute)
 
@@ -461,10 +465,10 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
     It is the image of a homomorphic section s: G/N -> G, pi(s(q)) = q
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005): the first map of :func:`~commprob.perm._generator_maps`, the
-    search that finds isomorphisms, from the generators q of G/N to the
-    members of their cosets, in index order.  Only the irredundant
-    generators are lifted: the lift of one in the span of those before it
-    is forced, so dropping it changes no section found.  Memoized per N.
+    search that finds isomorphisms, from N's right cosets, walked in G's
+    table as Nr * g = N(rg), to their members in index order.  Only G's
+    generators outside the span of N and those before them are lifted; the
+    lift of any other is forced.  Memoized per N.
     """
     if not is_normal(G, N):
         raise NotNormal("complements are searched for normal subgroups only")
@@ -472,12 +476,12 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
         raise GroupError("find_complement requires a nontrivial proper subgroup")
 
     def compute():
-        Q, pi = quotient_with_map(G, N)
-        gens = _closure(Q, Q.generating_indices())[1]
+        rows, (coset_of, reps) = G.multiplication_table(), _coset_data(G, N)
+        seeds = [*subgroup_gens(G, N), *G.generating_indices()]
+        lifts = [g for g in _closure(G, seeds)[1] if g not in N]
         sections = _generator_maps(
-            Q.multiplication_table(), Q.identity_index, gens,
-            [[x for x in range(G.order) if pi[x] == q] for q in gens],
-            G.multiplication_table(), G.identity_index,
+            [{g: coset_of[rows[r][g]] for g in lifts} for r in reps], 0, lifts,
+            [sorted(rows[m][g] for m in N.member_indices) for g in lifts], rows, G.identity_index,
         )
         return next((Subgroup(G, section) for section in sections), None)
 

@@ -323,11 +323,9 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
                 note="equality" if res.equality else "strict or centralizers differ",
             )
         )
-        dq = commuting_probability(quotient(G, N))
+        dq = Fraction(res.class_count_quotient, G.order // N.order)
         dn = Fraction(res.class_count_normal, N.order)
-        verdicts.append(
-            Verdict(f"d(G)<=d(G/N)d(N);{ndesc}", True, d <= dq * dn)
-        )
+        verdicts.append(Verdict(f"d(G)<=d(G/N)d(N);{ndesc}", True, d <= dq * dn))
     for N in normal_subgroups(G):
         if N.is_trivial() or N.is_whole():
             continue

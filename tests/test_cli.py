@@ -495,6 +495,13 @@ def test_max_order_outside_16_bit_range_exit_2(cap, capsys):
     assert err.startswith("error: --max-order") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_oracle_cap_below_one_exit_2(cap, capsys):
+    argv = ["verify", "--name", "C4", "--theorem", "oracle", "--oracle-cap", cap]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --oracle-cap must be at least 1, not {cap}\n"
+
+
 def test_table_format(capsys):
     assert main(["analyze", "--name", "Q8", "--format", "table"]) == 0
     out = capsys.readouterr().out

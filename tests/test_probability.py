@@ -135,6 +135,7 @@ def test_gallagher_equality_iff_class_count_product(cat):
             product = res.class_count_quotient * res.class_count_normal
             assert res.equality == (res.class_count_group == product), name
             assert res.equality == oracle_gallagher_equality(G, N.member_indices), name
+            assert res.class_count_quotient == class_count(quotient(G, N)), name
             unequal += not res.equality
     assert unequal > 0  # both outcomes occur, so neither check is vacuous
 
@@ -154,8 +155,9 @@ def test_random_groups_gallagher_equality_matches_oracle(G):
     normals = normal_subgroups(G)
     assert normals[0].is_trivial() and normals[-1].is_whole()
     for N in normals:
-        expected = oracle_gallagher_equality(G, N.member_indices)
-        assert gallagher_check(G, N).equality == expected, N.order
+        res = gallagher_check(G, N)
+        assert res.equality == oracle_gallagher_equality(G, N.member_indices), N.order
+        assert res.class_count_quotient == class_count(quotient(G, N)), N.order
 
 
 def test_probability_submultiplicative_catalog_wide(cat):

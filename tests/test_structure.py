@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -435,6 +437,22 @@ def test_complement_existence_matches_brute_force(cat):
             assert set(H.member_indices) & set(N.member_indices) == {G.identity_index}, name
             assert H.order * N.order == G.order, name
     assert (pairs, non_split) == (118, 31)
+
+
+def test_catalog_complements_pinned(cat):
+    # which complement the section search returns, over every catalog (G, N)
+    # with N abelian, nontrivial and proper, is pinned by one hash
+    digest, pairs = hashlib.sha256(), 0
+    for key, G in cat.items():
+        for N in normal_subgroups(G):
+            if N.is_trivial() or N.is_whole() or not subgroup_is_abelian(G, N):
+                continue
+            H = find_complement(G, N)
+            found = None if H is None else H.member_indices
+            digest.update(repr((key, N.member_indices, found)).encode())
+            pairs += 1
+    assert pairs == 78
+    assert digest.hexdigest() == "3f0de5a228d705bf6fb6c670189b74aa665b512b8096a2fa212324a24b71f671"
 
 
 def test_complement_deterministic(cat):

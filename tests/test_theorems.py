@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commprob.constructors import named
 from commprob.perm import GroupError, Permutation, generate_group
 from commprob.structure import (
     center,
@@ -24,7 +25,6 @@ from commprob.theorems import (
     verify_supersolvable_1_3,
     verify_supersolvable_5_16,
 )
-
 
 def normal_of_order(cat, name, order):
     return next(n for n in normal_subgroups(cat[name]) if n.order == order)
@@ -236,11 +236,19 @@ def test_verdict_to_dict_is_asdict_in_field_order(cat):
 
 
 def test_analyze_deterministic(cat):
-    from commprob.constructors import named
-
     a = analyze(named("S4"), name="S4").to_dict()
     b = analyze(named("S4"), name="S4").to_dict()
     assert a == b
+
+
+def test_analyze_builds_no_quotient_per_normal_subgroup():
+    # G/N is read off N's cosets in G's table; the one quotient group built
+    # is G/Z(G), for isoclinism.  C2^4 as four disjoint transpositions.
+    swaps = [[i ^ 1 if i // 2 == k else i for i in range(8)] for k in range(4)]
+    for G in (named("C2xC2xC2"), generate_group(8, [Permutation(p) for p in swaps])):
+        analyze(G)
+        built = [key[1] for key in G._cache if isinstance(key, tuple) and key[0] == "quotient"]
+        assert len(normal_subgroups(G)) > 2 and built == [center(G).member_indices]
 
 
 def test_run_catalog_verification_no_failures():
