@@ -16,7 +16,6 @@ from .structure import (
     ConjugacyClass,
     NotNormal,
     Subgroup,
-    as_group,
     center,
     conjugacy_classes,
     derived_series,
@@ -30,7 +29,6 @@ from .structure import (
     lower_central_series,
     normal_closure,
     normal_subgroups,
-    quotient,
     subgroup_generated,
 )
 from .probability import (

@@ -4,7 +4,8 @@ verification commands, report emission.
 Group file format (bit-exact): UTF-8 text, ``#`` starts a comment, blank
 lines are ignored; the first data line holds the degree n and every further
 data line holds n space-separated 0-based integers, one generator in
-one-line image notation per line.
+one-line image notation per line.  n is at most 65536, the element-index
+limit :data:`~commprob.perm.MAX_GROUP_ORDER`.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -77,6 +78,9 @@ def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
                 raise GroupFileError(lineno, f"invalid degree {parts[0]!r}") from None
             if degree < 1:
                 raise GroupFileError(lineno, "degree must be a positive integer")
+            if degree > MAX_GROUP_ORDER:
+                message = f"degree {degree} exceeds the limit of {MAX_GROUP_ORDER}"
+                raise GroupFileError(lineno, message)
             continue
         if len(parts) != degree:
             raise GroupFileError(

@@ -91,9 +91,10 @@ class FiniteGroup:
     permutations and hands over the identity's and the generators' rows,
     keeping the sorted permutations as :attr:`elements`; the other rows are
     filled on first use (:meth:`multiplication_table`).  :meth:`from_table`
-    takes and checks a whole table (G/Z(G), standalone subgroups, cyclic,
-    quaternion and semidirect groups); its :attr:`elements`, the right
-    regular permutations of degree |G|, are built on first read.
+    takes and checks a whole table (the constructors' cyclic, quaternion and
+    semidirect groups; quotients and subgroups are read in G's table); its
+    :attr:`elements`, the right regular permutations of degree |G|, are
+    built on first read.
 
     Immutable after construction and safe to share read-only across threads:
     two threads that both use it first may each fill a copy of the rows, but
@@ -227,7 +228,7 @@ def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
 
 
 def _extend_map(
-    rows: Sequence[array], e: int, gens: Sequence[int], images: Sequence, mul: Callable, start
+    rows: Sequence, e: int, gens: Sequence[int], images: Sequence, mul: Callable, start
 ) -> tuple[list | None, tuple[int, int] | None]:
     """Extend ``gens[i] -> images[i]`` by one walk from the identity ``e`` over
     the table ``rows``: ``phi(e) = start``, ``phi(x*g) = mul(phi(x), image of
@@ -253,18 +254,17 @@ def _extend_map(
 
 
 def _generator_maps(
-    rows: Sequence[array], e: int, gens: Sequence[int], candidates: Sequence[Sequence[int]],
-    dst_rows: Sequence[array], dst_e: int,
+    rows: Sequence, e: int, gens: Sequence[int], candidates: Sequence[Sequence[int]],
+    mul: Callable[[int, int], int], dst_e: int,
 ) -> Iterator[list[int]]:
-    """Each injective homomorphism from <gens> into the table ``dst_rows``
-    with ``gens[i]`` sent into ``candidates[i]``, depth first in the given
-    order: a prefix of images is extended by one :func:`_extend_map` walk
-    and dropped on a clash or a repeated image; -1 outside <gens>."""
+    """Each injective homomorphism from <gens> into the group with product
+    ``mul`` and identity ``dst_e``, with ``gens[i]`` sent into
+    ``candidates[i]``, depth first in the given order: a prefix of images is
+    extended by one :func:`_extend_map` walk and dropped on a clash or a
+    repeated image; -1 outside <gens>."""
 
     def search(images: list[int]) -> Iterator[list[int]]:
-        phi, clash = _extend_map(
-            rows, e, gens[: len(images)], images, lambda px, g: dst_rows[px][g], dst_e
-        )
+        phi, clash = _extend_map(rows, e, gens[: len(images)], images, mul, dst_e)
         if clash is not None:
             return
         defined = [v for v in phi if v >= 0]

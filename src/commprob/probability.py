@@ -14,7 +14,7 @@ from .perm import FiniteGroup, GroupError
 from .structure import (
     Subgroup,
     _cached,
-    _coset_data,
+    _quotient_classes,
     conjugacy_classes,
     derived_subgroup,
     is_normal,
@@ -108,13 +108,12 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
     That image always lies in C_{G/N}(gN) and has order |C_G(g)| / |C_N(g)|,
     so the two are equal iff |N| * |cl_{G/N}(gN)| == |cl_G(g)| * |C_N(g)|.
     G/N is read off N's cosets in G's table: cl_{G/N}(gN) is the set of
-    cosets that cl_G(g) meets, and two classes of G meet the same set or
-    disjoint ones.  One g per class of G is tested, with |C_N(g)| counted
+    cosets that cl_G(g) meets (:func:`~commprob.structure._quotient_classes`).
+    One g per class of G is tested, with |C_N(g)| counted
     as the bits of C_G(g) & N, both int bit masks."""
     if not is_normal(G, N):
         raise GroupError("gallagher_check requires a normal subgroup")
-    coset_of, classes = _coset_data(G, N)[0], conjugacy_classes(G)
-    images = [frozenset([coset_of[x] for x in c.members]) for c in classes]
+    classes, images = conjugacy_classes(G), _quotient_classes(G, N)
     k_g, k_q, k_n = len(classes), len(set(images)), subgroup_class_count(G, N)
     n_mask = _bits(N.member_indices)
     equality = all(

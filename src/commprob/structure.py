@@ -8,7 +8,6 @@ classifiers.  Everything operates on element indices of an immutable
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterable, Sequence
 
 from .perm import FiniteGroup, GroupError, _generator_maps
@@ -272,12 +271,15 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return _cached(G, "normal_subgroups", compute)
 
 
-# -- quotients and subgroups as standalone groups ------------------------------
+# -- quotients read in G's table ----------------------------------------------
 
 
 def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Right-coset ids of N, numbered in order of their lowest members, and
-    those members: one walk over G's table, memoized per N."""
+    """Right-coset ids of the normal subgroup N, numbered in order of their
+    lowest members, and those members: G/N read in G's own table, by one
+    walk over it, memoized per N.  Raises :class:`NotNormal` otherwise."""
+    if not is_normal(G, N):
+        raise NotNormal("quotients require a normal subgroup")
 
     def compute():
         n_rows = [G.multiplication_table()[m] for m in N.member_indices]
@@ -287,71 +289,17 @@ def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[tuple[int, ...], tuple[int
                 for row in n_rows:
                     coset_of[row[i]] = len(reps)
                 reps.append(i)
-        if len(reps) * N.order != G.order:
-            raise GroupError("coset action has the wrong image size")
         return tuple(coset_of), tuple(reps)
 
     return _cached(G, ("cosets", N.member_indices), compute)
 
 
-def _read_table(G: FiniteGroup, elements: Sequence[int], label, gens: Sequence[int]) -> FiniteGroup:
-    """The group on G's ``elements`` (coset representatives or subgroup
-    members) whose product of x and y is ``label[x*y]`` in G, with the
-    given generators; :meth:`FiniteGroup.from_table` checks the table."""
-    rows = G.multiplication_table()
-    table = [array("H", [label[rows[x][y]] for y in elements]) for x in elements]
-    return FiniteGroup.from_table(table, gens)
-
-
-def quotient_with_map(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient G/N as its own group, with its Cayley table on the right
-    cosets of N (:func:`_coset_data`), and the projection map from G's
-    indices to its indices; its generators are the images of G's.  G/1 is G
-    itself, with the identity map.  Built only for G/Z(G), by isoclinism."""
-    if not is_normal(G, N):
-        raise NotNormal("quotients require a normal subgroup")
-    if N.is_trivial():
-        return G, tuple(range(G.order))
-    key = ("quotient", N.member_indices)
-
-    def compute():
-        coset_of, reps = _coset_data(G, N)
-        gens = tuple(dict.fromkeys(coset_of[g] for g in G.generating_indices())) or (0,)
-        return _read_table(G, reps, coset_of, gens), coset_of
-
-    return _cached(G, key, compute)
-
-
-def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    """The quotient group G/N, given by its table on the cosets of N."""
-    return quotient_with_map(G, N)[0]
-
-
-def as_group_with_map(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
-    """A subgroup as a standalone group, given by its Cayley table read off
-    G's; also return the map parent index -> new index.
-
-    The new canonical order is the order of H's member indices, and the
-    new group's generators are H's greedy ones (:func:`subgroup_gens`),
-    found by closing in G's table.  G as its own subgroup is G itself, with
-    ``pos`` the identity.
-    """
-    if H.parent is not G:
-        raise GroupError("subgroup does not belong to this group")
-    if H.is_whole():
-        return G, {i: i for i in range(G.order)}
-    key = ("as_group", H.member_indices)
-
-    def compute():
-        pos = {m: i for i, m in enumerate(H.member_indices)}
-        gens = tuple(pos[g] for g in subgroup_gens(G, H))
-        return _read_table(G, H.member_indices, pos, gens), pos
-
-    return _cached(G, key, compute)
-
-
-def as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    return as_group_with_map(G, H)[0]
+def _quotient_classes(G: FiniteGroup, N: Subgroup) -> list[frozenset[int]]:
+    """The conjugacy classes of G/N, one per class of G, in order: the set of
+    N's cosets (:func:`_coset_data`) that the class of G meets.  Two classes
+    of G meet the same cosets or disjoint ones."""
+    coset_of = _coset_data(G, N)[0]
+    return [frozenset([coset_of[x] for x in c.members]) for c in conjugacy_classes(G)]
 
 
 # -- commutator structure ------------------------------------------------------
@@ -481,7 +429,8 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
         lifts = [g for g in _closure(G, seeds)[1] if g not in N]
         sections = _generator_maps(
             [{g: coset_of[rows[r][g]] for g in lifts} for r in reps], 0, lifts,
-            [sorted(rows[m][g] for m in N.member_indices) for g in lifts], rows, G.identity_index,
+            [sorted(rows[m][g] for m in N.member_indices) for g in lifts],
+            lambda x, y: rows[x][y], G.identity_index,
         )
         return next((Subgroup(G, section) for section in sections), None)
 

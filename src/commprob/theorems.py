@@ -39,7 +39,6 @@ from .structure import (
     is_solvable,
     is_supersolvable,
     normal_subgroups,
-    quotient,
     subgroup_is_abelian,
 )
 
@@ -140,7 +139,7 @@ def verify_supersolvable_5_16(G: FiniteGroup) -> Verdict:
         return Verdict("d>5/16", True, True, note="supersolvable")
     if are_isoclinic(G, a4):
         return Verdict("d>5/16", True, True, note="isoclinic to A4")
-    if are_isoclinic(quotient(G, center(G)), a4):
+    if are_isoclinic(G, a4, center(G)):
         return Verdict("d>5/16", True, True, note="central quotient isoclinic to A4")
     return Verdict("d>5/16", True, False, note="no branch holds")
 
@@ -275,7 +274,7 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
         solvable=is_solvable(G),
         stem=is_stem(G),
         isoclinic_to_A4=are_isoclinic(G, a4),
-        quotient_by_center_isoclinic_to_A4=are_isoclinic(quotient(G, z), a4),
+        quotient_by_center_isoclinic_to_A4=are_isoclinic(G, a4, z),
         isoclinic_to_C5C5C3=are_isoclinic(G, _reference("(C5xC5):C3")),
         theorem_verdicts=[],
     )

@@ -3,9 +3,10 @@
 Everything here follows the defining formula directly, with no shortcuts
 shared with the implementation under test: conjugation runs over every
 group element, commutator subgroups close over the full commutator set,
-and the subgroup lattice is enumerated from generating seeds.  Two helpers
-are thin wrappers instead: :func:`find_isomorphism` and :func:`are_isomorphic`
-take the first map of the library's isomorphism search.
+and the subgroup lattice is enumerated from generating seeds.  Quotients
+and subgroups as groups of their own are closures of permutations.  Two
+helpers are thin wrappers instead: :func:`find_isomorphism` and
+:func:`are_isomorphic` take the first map of the library's isomorphism search.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from commprob.isoclinism import IsoclinismWitness, commutator_pairing
+from commprob.isoclinism import IsoclinismWitness
 from commprob.isomorphism import iter_isomorphisms
-from commprob.perm import FiniteGroup, Permutation
+from commprob.perm import FiniteGroup, Permutation, generate_group
+from commprob.structure import Subgroup
 
 
 def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -32,11 +34,10 @@ def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def oracle_center(G: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
-        x
-        for x in range(G.order)
-        if all(G.mul(x, g) == G.mul(g, x) for g in range(G.order))
-    )
+    """Every x with x * g = g * x for all g: row x of the table against its
+    column x."""
+    rows = G.multiplication_table()
+    return tuple(x for x in range(G.order) if rows[x].tolist() == [row[x] for row in rows])
 
 
 def oracle_centralizer(G: FiniteGroup, x: int) -> tuple[int, ...]:
@@ -53,20 +54,22 @@ def _perm_closure(gens: list[Permutation], identity: Permutation) -> set:
     return seen
 
 
+def _greedy(perms: list[Permutation], identity: Permutation) -> list[Permutation]:
+    """Each permutation not in the closure of those chosen before it."""
+    chosen: list[Permutation] = []
+    closed = {identity}
+    for p in perms:
+        if p not in closed:
+            chosen.append(p)
+            closed = _perm_closure(chosen, identity)
+    return chosen
+
+
 def oracle_greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating sequence in canonical order: every element not in
-    the subgroup generated by those chosen before it, until that subgroup
-    is G.  Subgroups are closed by composing permutations."""
-    identity = Permutation(range(G.degree))
-    chosen: list[int] = []
-    closed = {identity}
-    for i, p in enumerate(G.elements):
-        if len(closed) == G.order:
-            break
-        if p not in closed:
-            chosen.append(i)
-            closed = _perm_closure([G.elements[c] for c in chosen], identity)
-    return tuple(chosen)
+    the subgroup generated by those chosen before it.  Subgroups are closed
+    by composing permutations."""
+    return tuple(map(G.index_of, _greedy(list(G.elements), Permutation(range(G.degree)))))
 
 
 def oracle_coset_action(G: FiniteGroup, N: tuple[int, ...], g: int) -> Permutation:
@@ -100,13 +103,19 @@ def oracle_gallagher_equality(G: FiniteGroup, N: tuple[int, ...]) -> bool:
     return True
 
 
-def oracle_regular_representation(G: FiniteGroup, members: tuple[int, ...]) -> tuple:
-    """A subgroup's right regular representation in canonical order: x moves
-    the position of member y to that of y * x, products by composition."""
-    perms = [G.elements[m] for m in members]
-    where = {p: i for i, p in enumerate(perms)}
-    regular = (Permutation(where[y * x] for y in perms) for x in perms)
-    return tuple(sorted(regular, key=lambda p: p.images))
+def oracle_quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
+    """G/N as a permutation group of its own: the closure of how G's
+    generators permute the right cosets of N (:func:`oracle_coset_action`)."""
+    actions = [oracle_coset_action(G, N.member_indices, g) for g in G.generating_indices()]
+    return generate_group(G.order // N.order, actions)
+
+
+def oracle_subgroup(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
+    """H as a permutation group of its own: the closure of its members'
+    permutations, greedily chosen.  Both orders are lexicographic on images,
+    so element i is H's i-th member."""
+    perms = [G.elements[m] for m in H.member_indices]
+    return generate_group(G.degree, _greedy(perms, Permutation(range(G.degree))))
 
 
 def _closure(G: FiniteGroup, seeds) -> frozenset:
@@ -273,28 +282,45 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     return find_isomorphism(G, H) is not None
 
 
+def _central_quotient_and_derived(G: FiniteGroup):
+    """G/Z(G) and G' numbered as an isoclinism witness numbers them, formed
+    here in G's table: each element's right coset of the center, the cosets
+    numbered by lowest member, with those members; the commutators of every
+    two of them; and the commutator subgroup in index order, with each
+    member's position.  G' is the closure of those commutators, which are
+    all of G's."""
+    rows, inv = G.multiplication_table(), [G.inv(x) for x in range(G.order)]
+    z, coset, reps = oracle_center(G), {}, []
+    for x in range(G.order):
+        if x not in coset:
+            coset.update((rows[c][x], len(reps)) for c in z)
+            reps.append(x)
+    comm = [[rows[rows[inv[a]][inv[b]]][rows[a][b]] for b in reps] for a in reps]
+    derived = sorted(_closure(G, {c for row in comm for c in row}))
+    return coset, reps, comm, {d: i for i, d in enumerate(derived)}, derived
+
+
 def verify_isoclinism_witness(
     G: FiniteGroup, H: FiniteGroup, witness: IsoclinismWitness
 ) -> bool:
-    """Re-check a witness from scratch: both maps must be bijective
-    homomorphisms and the compatibility square must commute on all pairs."""
-    pg = commutator_pairing(G)
-    ph = commutator_pairing(H)
+    """Re-check a witness from scratch, with G/Z(G) and G' formed here: both
+    maps must be bijective homomorphisms and the compatibility square must
+    commute on all pairs."""
+    coset_g, reps_g, comm_g, pos_g, der_g = _central_quotient_and_derived(G)
+    coset_h, reps_h, comm_h, pos_h, der_h = _central_quotient_and_derived(H)
+    rows_g, rows_h = G.multiplication_table(), H.multiplication_table()
     phi, psi = witness.quotient_iso, witness.derived_iso
-    qa, qb = pg.inner_quotient, ph.inner_quotient
-    if sorted(phi) != list(range(qb.order)) or sorted(psi) != list(
-        range(ph.derived.order)
-    ):
+    if sorted(phi) != list(range(len(reps_h))) or sorted(psi) != list(range(len(der_h))):
         return False
-    for x in range(qa.order):
-        for y in range(qa.order):
-            if phi[qa.mul(x, y)] != qb.mul(phi[x], phi[y]):
+    for x, rx in enumerate(reps_g):
+        for y, ry in enumerate(reps_g):
+            px, py = phi[x], phi[y]
+            if phi[coset_g[rows_g[rx][ry]]] != coset_h[rows_h[reps_h[px]][reps_h[py]]]:
                 return False
-            if psi[pg.pairing[x][y]] != ph.pairing[phi[x]][phi[y]]:
+            if psi[pos_g[comm_g[x][y]]] != pos_h[comm_h[px][py]]:
                 return False
-    da, db = pg.derived, ph.derived
-    for x in range(da.order):
-        for y in range(da.order):
-            if psi[da.mul(x, y)] != db.mul(psi[x], psi[y]):
+    for x, dx in enumerate(der_g):
+        for y, dy in enumerate(der_g):
+            if psi[pos_g[rows_g[dx][dy]]] != pos_h[rows_h[der_h[psi[x]]][der_h[psi[y]]]]:
                 return False
     return True

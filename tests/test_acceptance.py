@@ -21,7 +21,6 @@ from commprob.probability import (
     commuting_probability,
 )
 from commprob.structure import (
-    as_group,
     derived_subgroup,
     is_abelian,
     is_nilpotent,
@@ -31,7 +30,7 @@ from commprob.structure import (
 )
 from commprob.theorems import run_catalog_verification, verify_class_size_theorem
 
-from oracles import are_isomorphic, verify_isoclinism_witness
+from oracles import are_isomorphic, oracle_subgroup, verify_isoclinism_witness
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -75,7 +74,7 @@ def test_criterion_1_exact_values():
 def test_criterion_2_structural_facts():
     a4 = named("A4")
     klein = named("C2xC2")
-    derived_ok = are_isomorphic(as_group(a4, derived_subgroup(a4)), klein)
+    derived_ok = are_isomorphic(oracle_subgroup(a4, derived_subgroup(a4)), klein)
     # Aut(C2xC2): its automorphisms, as permutations of its indices, closed
     autos = [Permutation(phi) for phi in iter_isomorphisms(klein, klein)]
     aut_v4 = generate_group(klein.order, autos)

@@ -14,6 +14,7 @@ from commprob.cli import (
     parse_group_file,
 )
 import commprob
+from commprob.isoclinism import find_isoclinism
 from commprob.perm import generate_group
 
 from oracles import are_isomorphic
@@ -133,6 +134,14 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     path.write_text("3\n1 1 0\n")
     assert main(["analyze", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_degree_above_the_limit_exit_2(tmp_path, capsys):
+    # refused before the closure builds its first permutation of that degree
+    path = tmp_path / "huge.grp"
+    path.write_text("65537\n")
+    assert main(["analyze", str(path)]) == 2
+    assert _single_line_error(capsys) == "error: line 1: degree 65537 exceeds the limit of 65536\n"
 
 
 def test_analyze_unknown_name_exit_2(capsys):
@@ -302,6 +311,23 @@ def test_isoclinic_witness_pinned(first, second, witness, capsys):
     assert main(["isoclinic", "--name", first, "--name2", second, "--witness"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"first": first, "second": second, "isoclinic": True, "witness": witness}
+
+
+# SHA-256 of the first isoclinism witness, or None, for every ordered pair of
+# catalog groups of order at most 75; fixed as the witnesses above
+CATALOG_PAIR_WITNESSES_SHA256 = "7d8c5d478cd677665090f856d543aba0c83f4d80734031f348cf69573c119856"
+
+
+def test_catalog_pair_witnesses_pinned(cat):
+    names = [name for name, G in cat.items() if G.order <= 75]
+    pairs = []
+    for a in names:
+        for b in names:
+            w = find_isoclinism(cat[a], cat[b])
+            pairs.append([a, b, w and [list(w.quotient_iso), list(w.derived_iso)]])
+    assert sum(p[2] is not None for p in pairs) == 343
+    blob = json.dumps(pairs, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == CATALOG_PAIR_WITNESSES_SHA256
 
 
 def test_catalog_list(capsys):

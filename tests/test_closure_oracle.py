@@ -4,24 +4,14 @@ generator sets of degree at most 6."""
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from commprob.perm import Permutation, generate_group
 from commprob.probability import class_count
 from commprob.structure import center, derived_subgroup, is_nilpotent, is_solvable
 
+from strategies import generator_sets
+
 combinatorics = pytest.importorskip("sympy.combinatorics")
-
-
-@st.composite
-def generator_sets(draw):
-    """A degree in 1..6 and up to four generators, as image tuples; empty
-    sets, the identity, repeated generators and intransitive sets all occur."""
-    degree = draw(st.integers(1, 6))
-    gens = draw(st.lists(st.permutations(range(degree)).map(tuple), max_size=3))
-    if gens and draw(st.booleans()):
-        gens.append(draw(st.sampled_from(gens)))
-    return degree, gens
 
 
 @given(generator_sets())

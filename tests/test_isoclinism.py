@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commprob import isoclinism
-from commprob.constructors import named
+from commprob.constructors import _dihedral, cyclic, direct_product, named
 from commprob.isoclinism import (
     are_isoclinic,
     commutator_pairing,
@@ -19,9 +19,16 @@ from commprob.isomorphism import (
 )
 from commprob.perm import GroupError, Permutation, generate_group
 from commprob.probability import commuting_probability
-from commprob.structure import center, is_supersolvable, normal_subgroups, quotient
+from commprob.structure import center, is_supersolvable, normal_subgroups
+from commprob.theorems import analyze
 
-from oracles import are_isomorphic, find_isomorphism, verify_isoclinism_witness
+from oracles import (
+    are_isomorphic,
+    find_isomorphism,
+    oracle_quotient,
+    verify_isoclinism_witness,
+)
+from strategies import generator_sets
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -136,28 +143,30 @@ def test_same_order_different_groups(cat):
 
 
 def test_pairing_abelian(cat):
-    p = commutator_pairing(cat["C12"])
-    assert p.inner_quotient.order == 1
-    assert p.derived.order == 1
-    assert p.pairing == ((p.derived.identity_index,),)
+    G = cat["C12"]
+    p = commutator_pairing(G)
+    assert p.center.order == G.order
+    assert p.derived[1] == (G.identity_index,)
+    assert p.pairing == ((0,),)
 
 
 def test_pairing_a4(cat):
     p = commutator_pairing(cat["A4"])
-    assert p.inner_quotient.order == 12
-    assert p.derived.order == 4
+    assert p.center.order == 1
+    assert len(p.derived[1]) == 4
 
 
 def test_pairing_invariants(cat):
     for name in ("S3", "D8", "Q8", "A4", "C2xA4"):
-        p = commutator_pairing(cat[name])
-        D = p.derived
-        n = p.inner_quotient.order
+        G = cat[name]
+        p = commutator_pairing(G)
+        of, reps = p.derived
+        n = G.order // p.center.order
         for q in range(n):
-            assert p.pairing[q][q] == D.identity_index, name
+            assert p.pairing[q][q] == 0, name
         for q1 in range(n):
             for q2 in range(n):
-                assert p.pairing[q1][q2] == D.inv(p.pairing[q2][q1]), name
+                assert p.pairing[q1][q2] == of[G.inv(reps[p.pairing[q2][q1]])], name
 
 
 # -- isoclinism ----------------------------------------------------------------
@@ -246,10 +255,48 @@ def test_pairing_over_a_non_central_subgroup_is_refused(monkeypatch):
 
 
 def test_pairing_of_g_mod_1_shares_the_memo_of_g():
-    # S3 has a trivial center, so S3/Z(S3) is S3/1, which is S3 itself
+    # S3 has a trivial center, so the section S3/Z(S3) is S3/1, read as S3
     s3 = named("S3")
-    q = quotient(s3, center(s3))
-    assert q is s3
-    pairing = commutator_pairing(q)
-    assert pairing is commutator_pairing(s3)
-    assert are_isoclinic(q, named("S3"))
+    assert commutator_pairing(s3, center(s3)) is commutator_pairing(s3)
+    assert are_isoclinic(s3, named("S3"), center(s3))
+
+
+def test_sections_match_the_oracle_quotient(cat):
+    # G/K read in G's table against G/K as a group of its own, for every
+    # normal K; G/K's own center is often nontrivial (abelian G/K included)
+    targets = [named(key) for key in ("C2", "S3", "D8", "A4")]
+    found = 0
+    for name, G in cat.items():
+        if G.order <= 75:
+            for K in normal_subgroups(G):
+                Q = oracle_quotient(G, K)
+                for H in targets:
+                    expected = are_isoclinic(Q, H)
+                    assert are_isoclinic(G, H, K) == expected, (name, K.order)
+                    found += expected
+    assert found > 100
+
+
+def test_section_with_a_nontrivial_center():
+    # D16/Z(D16) is D8: its central quotient is D16 mod a subgroup of order 4
+    d16 = _dihedral(16)
+    z = center(d16)
+    assert commutator_pairing(d16, z).center.order == 4
+    assert are_isoclinic(d16, named("Q8"), z) and not are_isoclinic(d16, named("A4"), z)
+
+
+@given(generator_sets())
+@example((4, [(1, 2, 0, 3), (1, 0, 3, 2)]))  # A4
+@example((6, [(1, 2, 0, 3, 4, 5), (1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]))  # A4 x C2
+@example((6, [(1, 2, 3, 0, 4, 5), (1, 0, 2, 3, 4, 5)]))  # S4
+@settings(deadline=None, max_examples=20)
+def test_isoclinism_beyond_the_catalog(spec):
+    # G x C2 is isoclinic to G, so d(G x C2) = d(G) (Lescot)
+    degree, gens = spec
+    G = generate_group(degree, [Permutation(g) for g in gens])
+    GC = direct_product(G, cyclic(2))
+    witness = find_isoclinism(G, GC)
+    assert witness is not None and verify_isoclinism_witness(G, GC, witness)
+    assert commuting_probability(G) == commuting_probability(GC)
+    expected = are_isoclinic(oracle_quotient(G, center(G)), named("A4"))
+    assert analyze(G).quotient_by_center_isoclinic_to_A4 == expected

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from commprob.constructors import _dihedral, cyclic, direct_product, named
 from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
+from commprob.isomorphism import iter_isomorphisms
 from commprob.structure import (
     NotNormal,
     Subgroup,
-    as_group,
-    as_group_with_map,
+    _coset_data,
     center,
     conjugacy_classes,
     derived_series,
@@ -23,8 +23,6 @@ from commprob.structure import (
     is_supersolvable,
     lower_central_series,
     normal_subgroups,
-    quotient,
-    quotient_with_map,
     subgroup_class_count,
     subgroup_generated,
     subgroup_gens,
@@ -45,7 +43,8 @@ from oracles import (
     oracle_is_supersolvable,
     oracle_lower_central_series,
     oracle_normal_subgroups,
-    oracle_regular_representation,
+    oracle_quotient,
+    oracle_subgroup,
 )
 
 
@@ -201,7 +200,7 @@ def test_derived_examples(cat):
     assert derived_subgroup(cat["C12"]).is_trivial()
     a4d = derived_subgroup(cat["A4"])
     assert a4d.order == 4
-    assert are_isomorphic(as_group(cat["A4"], a4d), cat["C2xC2"])
+    assert are_isomorphic(oracle_subgroup(cat["A4"], a4d), cat["C2xC2"])
     assert derived_subgroup(cat["S3"]).order == 3
 
 
@@ -255,45 +254,65 @@ def test_normal_subgroups_of_elementary_abelian(n, subspaces):
     assert is_supersolvable(G)
 
 
-# -- quotients -----------------------------------------------------------------
+# -- quotients read in G's table ------------------------------------------------
 
 
 def test_quotient_by_whole_is_trivial(cat):
     a4 = cat["A4"]
-    assert quotient(a4, Subgroup(a4, range(a4.order))).order == 1
+    assert list(iter_isomorphisms(a4, cat["C1"], Subgroup(a4, range(a4.order)))) == [[0]]
 
 
 def test_quotient_a4_by_klein(cat):
+    # A4/V4 is C3, with its two automorphisms
     a4 = cat["A4"]
-    assert quotient(a4, klein_subgroup(a4)).order == 3
+    assert len(list(iter_isomorphisms(a4, cat["C3"], klein_subgroup(a4)))) == 2
 
 
 def test_quotient_c2a4_by_center(cat):
     G = cat["C2xA4"]
-    Q = quotient(G, center(G))
-    assert Q.order == 12
-    assert are_isomorphic(Q, cat["A4"])
+    assert next(iter_isomorphisms(G, cat["A4"], center(G)), None) is not None
+    assert are_isomorphic(oracle_quotient(G, center(G)), cat["A4"])
 
 
 def test_quotient_by_trivial_isomorphic(cat):
+    # G/1 is read as G: its coset ids are element indices
     G = cat["S3"]
-    Q = quotient(G, subgroup_generated(G, []))
-    assert Q.order == 6
-    assert are_isomorphic(Q, G)
+    trivial = subgroup_generated(G, [])
+    maps = list(iter_isomorphisms(G, G, trivial, trivial))
+    assert len(maps) == 6
+    for phi in maps:
+        assert all(phi[G.mul(x, y)] == G.mul(phi[x], phi[y]) for x in range(6) for y in range(6))
 
 
 def test_quotient_requires_normal(cat):
     a4 = cat["A4"]
     stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
     with pytest.raises(NotNormal):
-        quotient(a4, stab)
+        next(iter_isomorphisms(a4, cat["C2xC2"], stab))
 
 
 def test_quotient_orders(cat):
+    # G/N read in G's table is isomorphic, both ways, to G/N as a group of its own
     for name in ("S4", "C2xA4", "D12"):
         G = cat[name]
         for N in normal_subgroups(G):
-            assert quotient(G, N).order * N.order == G.order, name
+            Q = oracle_quotient(G, N)
+            assert Q.order * N.order == G.order, name
+            assert next(iter_isomorphisms(G, Q, N), None) is not None, name
+            assert next(iter_isomorphisms(Q, G, None, N), None) is not None, name
+
+
+def test_coset_ids_match_oracle_coset_action(cat):
+    # isoclinism witnesses name cosets by these ids: lowest member first, and
+    # g moves Nr to N(rg)
+    for name, G in cat.items():
+        if G.order > 60:
+            continue
+        for N in normal_subgroups(G):
+            coset_of, reps = _coset_data(G, N)
+            for g in range(G.order):
+                action = oracle_coset_action(G, N.member_indices, g)
+                assert [coset_of[G.mul(r, g)] for r in reps] == list(action.images), name
 
 
 # -- series and classifiers ----------------------------------------------------
@@ -309,7 +328,7 @@ def check_series(G):
     The lower central series against the oracle's, term by term."""
 
     def derived(H):
-        return tuple(H.member_indices[i] for i in oracle_derived_members(as_group(G, H)))
+        return tuple(H.member_indices[i] for i in oracle_derived_members(oracle_subgroup(G, H)))
 
     series = derived_series(G)
     for H, K in zip(series, series[1:]):
@@ -462,42 +481,14 @@ def test_complement_deterministic(cat):
     assert h1.member_indices == h2.member_indices
 
 
-# -- standalone subgroup realization -------------------------------------------
-
-
-def test_as_group_regular_representation(cat):
-    a4 = cat["A4"]
-    K = as_group(a4, klein_subgroup(a4))
-    assert K.order == 4 and K.degree == 4
-    assert are_isomorphic(K, cat["C2xC2"])
-
-
-def test_standalone_generators_match_oracle(cat):
-    # isomorphism and isoclinism witnesses follow these generators; G as its
-    # own subgroup and G/1 are G itself (test_identity_maps_share_the_parent_table)
-    for name, G in cat.items():
-        if G.order > 60:
-            continue
-        for N in normal_subgroups(G):
-            if not N.is_whole():
-                H = as_group(G, N)
-                assert H.generating_indices() == oracle_greedy_generators(H), name
-                assert H.elements == oracle_regular_representation(G, N.member_indices), name
-            if N.is_trivial():
-                continue
-            Q, pi = quotient_with_map(G, N)
-            actions = [oracle_coset_action(G, N.member_indices, g) for g in range(G.order)]
-            assert [Q.elements[pi[g]] for g in range(G.order)] == actions, name
-            recorded = [Q.index_of(actions[g]) for g in G.generating_indices()]
-            expected = tuple(dict.fromkeys(recorded)) or (Q.identity_index,)
-            assert Q.generating_indices() == expected, name
+# -- subgroups read in G's table -------------------------------------------------
 
 
 def check_in_table_invariants(G):
     """k(N), "N abelian" and N's greedy generators, read in G's table, against
     N as its own group and the oracles on it."""
     for N in normal_subgroups(G):
-        H = as_group(G, N)
+        H = oracle_subgroup(G, N)
         k = subgroup_class_count(G, N)
         assert k == class_count(H) == len(oracle_conjugacy_classes(H))
         abelian = subgroup_is_abelian(G, N)
@@ -512,29 +503,13 @@ def test_in_table_subgroup_invariants_match_oracles(cat):
             check_in_table_invariants(G)
 
 
-def test_identity_maps_share_the_parent_table(cat):
-    for name in ("C1", "A4", "S4"):
-        G = cat[name]
-        # G/1 and G as its own subgroup are G itself, with identity maps
-        Q, pi = quotient_with_map(G, subgroup_generated(G, []))
-        assert Q is G and pi == tuple(range(G.order)), name
-        H, pos = as_group_with_map(G, Subgroup(G, range(G.order)))
-        assert H is G and pos == {i: i for i in range(G.order)}, name
-    a4 = cat["A4"]
-    klein = klein_subgroup(a4)
-    assert quotient(a4, klein).multiplication_table() is not a4.multiplication_table()
-    assert as_group(a4, klein).multiplication_table() is not a4.multiplication_table()
-
-
 def test_identity_maps_share_the_parent_memo(cat):
     for name in ("C1", "S3", "A5"):
         G = named(name)
-        assert quotient(G, subgroup_generated(G, [])) is G, name
-        assert as_group(G, Subgroup(G, range(G.order))) is G, name
+        # G/1 is read in G's table with coset ids the element indices, and
+        # G as its own subgroup has G's classes
+        assert _coset_data(G, subgroup_generated(G, [])) == (tuple(range(G.order)),) * 2, name
         assert subgroup_class_count(G, Subgroup(G, range(G.order))) == class_count(G), name
-    a4 = cat["A4"]
-    assert quotient(a4, klein_subgroup(a4))._cache is not a4._cache
-    assert as_group(a4, klein_subgroup(a4))._cache is not a4._cache
 
 
 def test_subgroup_of_another_group_object_is_refused(cat):
@@ -547,7 +522,7 @@ def test_subgroup_of_another_group_object_is_refused(cat):
     with pytest.raises(GroupError, match="does not belong"):
         is_normal(a4, copy)
     with pytest.raises(GroupError, match="does not belong"):  # not A4 itself
-        as_group(a4, Subgroup(cat["S4"], range(24)))
+        _coset_data(a4, Subgroup(cat["S4"], range(24)))
 
 
 # -- property tests -------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commprob.constructors import named
-from commprob.perm import GroupError, Permutation, generate_group
+from commprob.perm import FiniteGroup, GroupError, Permutation, generate_group
 from commprob.structure import (
     center,
     conjugacy_classes,
@@ -15,6 +15,7 @@ from commprob.structure import (
 )
 from commprob.theorems import (
     Verdict,
+    _reference,
     _smallest_class_in,
     analyze,
     run_catalog_verification,
@@ -241,14 +242,25 @@ def test_analyze_deterministic(cat):
     assert a == b
 
 
-def test_analyze_builds_no_quotient_per_normal_subgroup():
-    # G/N is read off N's cosets in G's table; the one quotient group built
-    # is G/Z(G), for isoclinism.  C2^4 as four disjoint transpositions.
+def test_analyze_builds_no_quotient_per_normal_subgroup(monkeypatch):
+    # G/N, G/Z(G) and G' are read in G's own table: once the reference groups
+    # exist, analyze constructs no group.  C2^4 as four disjoint transpositions.
+    for key in ("A4", "(C5xC5):C3"):
+        _reference(key)
     swaps = [[i ^ 1 if i // 2 == k else i for i in range(8)] for k in range(4)]
-    for G in (named("C2xC2xC2"), generate_group(8, [Permutation(p) for p in swaps])):
+    groups = [named("C2xA4"), generate_group(8, [Permutation(p) for p in swaps]), named("S4")]
+    built = []
+    over_table = FiniteGroup.__dict__["_over_table"].__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return over_table(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "_over_table", classmethod(counted))
+    for G in groups:
         analyze(G)
-        built = [key[1] for key in G._cache if isinstance(key, tuple) and key[0] == "quotient"]
-        assert len(normal_subgroups(G)) > 2 and built == [center(G).member_indices]
+        assert len(normal_subgroups(G)) > 2
+    assert built == []
 
 
 def test_run_catalog_verification_no_failures():
