@@ -103,7 +103,7 @@ def format_group_file(G: FiniteGroup) -> str:
     """Emit a group as a parseable generator file (canonical generators)."""
     lines = [str(G.degree)]
     for g in G.generating_indices():
-        lines.append(" ".join(str(v) for v in G.elements[g].images))
+        lines.append(" ".join(str(v) for v in G.element(g).images))
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,8 @@ so that inside the product the conjugate of an embedded N-element by an
 embedded H-element agrees with the action.  The action map H -> Aut(N) is
 a homomorphism with respect to left-to-right composition.  Cyclic groups,
 Q8 and products N : H are their own right regular representations, given
-by their Cayley tables (:meth:`FiniteGroup.from_table`); (a, h) has index
-a * |H| + h, so N and H embed as a -> a * |H| and h -> h.
+by rows of their Cayley tables (``FiniteGroup._over_table``); (a, h) has
+index a * |H| + h, so N and H embed as a -> a * |H| and h -> h.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .perm import (
     _fill_rows,
     generate_group,
 )
-from .isomorphism import extend_to_isomorphism
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -43,7 +42,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise OrderCapExceeded(f"group closure exceeded the order cap of {DEFAULT_ORDER_CAP}")
     first = array("H", range(n))
     rows = [first[i:] + first[:i] for i in range(n)]
-    return FiniteGroup.from_table(rows, (1,) if n > 1 else ())
+    return FiniteGroup._over_table(rows, (1,) if n > 1 else ())
 
 
 def direct_product(
@@ -62,9 +61,9 @@ def direct_product(
     def pair(a: Permutation, b: Permutation) -> Permutation:
         return Permutation(a.images + tuple(v + da for v in b.images))
 
-    ea, eb = A.elements[A.identity_index], B.elements[B.identity_index]
-    gens = [pair(A.elements[i], eb) for i in A.generating_indices()]
-    gens += [pair(ea, B.elements[j]) for j in B.generating_indices()]
+    ea, eb = A.element(A.identity_index), B.element(B.identity_index)
+    gens = [pair(A.element(i), eb) for i in A.generating_indices()]
+    gens += [pair(ea, B.element(j)) for j in B.generating_indices()]
     return generate_group(da + B.degree, gens, max_order=max_order)
 
 
@@ -72,9 +71,13 @@ def automorphism_from_generator_images(
     N: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...]:
     """The unique automorphism of N sending gens to images, as a full
-    permutation of element indices.  Raises if no such automorphism exists."""
-    phi = extend_to_isomorphism(N, gens, N, images)
-    if phi is None:
+    permutation of element indices (one ``perm._extend_map`` walk over N's
+    table).  Raises unless it is a homomorphism on all of N and a bijection."""
+    rows = N.multiplication_table()
+    phi, clash = _extend_map(
+        rows, N.identity_index, gens, images, lambda px, mg: rows[px][mg], N.identity_index
+    )
+    if clash is not None or -1 in phi or len(set(phi)) != N.order:
         raise GroupError(f"generator images {list(images)} do not define an automorphism")
     return tuple(phi)
 
@@ -166,7 +169,7 @@ def semidirect_product(
         rows[g] = row(g)
     if _fill_rows(rows, gens, 0) != order:
         raise GroupError("the generators of N and H do not generate the product")
-    return FiniteGroup.from_table(rows, gens)
+    return FiniteGroup._over_table(rows, gens)
 
 
 # -- named groups --------------------------------------------------------------
@@ -215,7 +218,7 @@ def _quaternion_with_units() -> tuple[FiniteGroup, dict[tuple[int, int], int]]:
     units = [(s, u) for s in range(2) for u in range(4)]
     idx = {u: i for i, u in enumerate(units)}
     rows = [array("H", [idx[mul(x, y)] for y in units]) for x in units]
-    return FiniteGroup.from_table(rows, (idx[(0, 1)], idx[(0, 2)])), idx
+    return FiniteGroup._over_table(rows, (idx[(0, 1)], idx[(0, 2)])), idx
 
 
 def _c7_c3() -> FiniteGroup:

@@ -1,53 +1,18 @@
-"""Group isomorphism testing by backtracking over generator images.
+"""The isomorphism search, by backtracking over generator images.
 
 The search assigns images to a small generating sequence of the source
 group, or of a quotient G/M read in G's table, pruned by element order and
-conjugacy-class size, and extends each
-partial assignment to a homomorphism by walking the Cayley graph.  The
-exploration follows canonical index order, so witnesses are deterministic.
+conjugacy-class size, and extends each partial assignment to a homomorphism
+by walking the Cayley graph (``perm._generator_maps``).  The exploration
+follows canonical index order, so witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .perm import FiniteGroup, _extend_map, _generator_maps
+from .perm import FiniteGroup, _generator_maps
 from .structure import Subgroup, _cached, _coset_data, _quotient_classes, subgroup_generated
-
-
-def extend_generator_map(
-    src: FiniteGroup,
-    gens: Sequence[int],
-    dst: FiniteGroup,
-    images: Sequence[int],
-) -> list[int] | None:
-    """Extend gens -> images to a homomorphism on <gens>, or return None.
-
-    The returned list maps source indices to destination indices and holds
-    -1 outside the subgroup generated by ``gens``.  It is one walk of
-    :func:`~commprob.perm._extend_map` over src's table, products of images
-    read in dst's; consistency is checked on every (element, generator)
-    product, which forces the homomorphism property on the whole generated
-    subgroup.
-    """
-    dst_rows = dst.multiplication_table()
-    phi, clash = _extend_map(
-        src.multiplication_table(), src.identity_index, gens, images,
-        lambda px, mg: dst_rows[px][mg], dst.identity_index,
-    )
-    return None if clash is not None else phi
-
-
-def extend_to_isomorphism(
-    src: FiniteGroup, gens: Sequence[int], dst: FiniteGroup, images: Sequence[int]
-) -> list[int] | None:
-    """Extend gens -> images to an isomorphism src -> dst, or return None:
-    the homomorphism of :func:`extend_generator_map`, if it is defined on
-    all of src and is a bijection onto dst."""
-    phi = extend_generator_map(src, gens, dst, images)
-    if phi is None or len(phi) != dst.order or -1 in phi or len(set(phi)) != dst.order:
-        return None
-    return phi
 
 
 def _section_steps(rows: Sequence, of: Sequence[int], reps: Sequence[int], gens) -> list[dict]:

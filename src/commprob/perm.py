@@ -3,9 +3,9 @@
 Elements are permutations of {0, ..., degree-1} in one-line image form.
 Composition reads left to right: ``p * q`` applies ``p`` first, then ``q``.
 A :class:`FiniteGroup` is a Cayley table over element indices in
-canonical order (for a closure, its image tuples sorted lexicographically),
-so element indices are deterministic across runs and can be used as stable
-element names everywhere else.
+canonical order (image tuples sorted lexicographically, which for a group
+given by rows is index order), so element indices are deterministic across
+runs and can be used as stable element names everywhere else.
 """
 
 from __future__ import annotations
@@ -87,14 +87,13 @@ class FiniteGroup:
     and 50 MB at the default order cap of 5000; orders above
     :data:`MAX_GROUP_ORDER` do not fit 16-bit indices and are refused.
 
-    ``FiniteGroup(...)`` is not public.  :func:`generate_group` closes
-    permutations and hands over the identity's and the generators' rows,
-    keeping the sorted permutations as :attr:`elements`; the other rows are
-    filled on first use (:meth:`multiplication_table`).  :meth:`from_table`
-    takes and checks a whole table (the constructors' cyclic, quaternion and
-    semidirect groups; quotients and subgroups are read in G's table); its
-    :attr:`elements`, the right regular permutations of degree |G|, are
-    built on first read.
+    ``FiniteGroup(...)`` is not public; every group is built one way, by
+    handing :meth:`_over_table` the identity's and the generators' rows, and
+    the table and inverses come on first use (:meth:`multiplication_table`).
+    :func:`generate_group` keeps the sorted permutations it closed as
+    :attr:`elements`; in the constructors' cyclic, quaternion and semidirect
+    groups, given by rows alone, element i is the right regular permutation
+    ``a -> a * i`` of degree |G|, column i of the table (:meth:`element`).
 
     Immutable after construction and safe to share read-only across threads:
     two threads that both use it first may each fill a copy of the rows, but
@@ -106,42 +105,15 @@ class FiniteGroup:
     )
 
     @classmethod
-    def from_table(cls, rows: Sequence[array], gens: Sequence[int]) -> "FiniteGroup":
-        """The group with Cayley table ``rows`` (16-bit, row 0 the identity's)
-        and generators ``gens``: element c is the right regular permutation
-        ``a -> rows[a][c]``, which starts with c, so canonical order is index
-        order.  Refuses a non-Latin square, and generators out of range or
-        not generating the table's group; associativity is not tested."""
-        n = len(rows)
-        ident = list(range(n))
-        if (
-            not n
-            or any(len(r) != n or len(set(r)) != n for r in rows)
-            or max(map(max, rows)) >= n
-            or rows[0].tolist() != ident
-            or [r[0] for r in rows] != ident
-            or any(len(set(c)) != n for c in zip(*rows))  # one column at a time
-        ):
-            raise GroupError("not a group table with identity 0 on 0..n-1")
-        if any(not 0 <= g < n for g in gens) or -1 in (invs := _inverses(rows, gens, 0)):
-            raise GroupError(f"not a group table generated by {list(gens)}")
-        return cls._over_table(tuple(rows), gens, invs)  # the walk serves inv()
-
-    @classmethod
-    def _over_table(
-        cls, rows: Sequence, gens: Sequence[int], invs: tuple | None = None, elements=None
-    ) -> "FiniteGroup":
-        """The group over ``rows`` uncopied and unchecked.  Either they are a
-        whole table and ``invs`` its inverses, or only the identity's and the
-        generators' rows are filled, None elsewhere, and the table comes on
+    def _over_table(cls, rows: Sequence, gens: Sequence[int], elements=None) -> "FiniteGroup":
+        """The group over ``rows`` uncopied and unchecked: row 0 the
+        identity's, the rows of ``gens`` filled, None where a row comes on
         first use.  ``elements`` are the permutations the indices name; by
         default the right regular ones of degree |G|."""
         group = cls.__new__(cls)
         group.identity_index, group._index, group._gens = 0, None, tuple(gens)
-        group._elements, group._rows = elements, rows
+        group._elements, group._rows, group._table, group._cache = elements, rows, None, {}
         group.degree = len(rows) if elements is None else elements[0].degree
-        group._cache = {} if invs is None else {"inv": invs}
-        group._table = None if invs is None else rows
         return group
 
     # -- basic queries ---------------------------------------------------
@@ -152,9 +124,16 @@ class FiniteGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:  # table-given: the right regular permutations
-            self._elements = tuple(map(Permutation, zip(*self._table)))
+        if self._elements is None:
+            self._elements = tuple(map(self.element, range(self.order)))
         return self._elements
+
+    def element(self, i: int) -> Permutation:
+        """The permutation index i names, building no other: the closure's,
+        or column i of the table, ``a -> a * i``, for a group given by rows."""
+        if self._elements is not None:
+            return self._elements[i]
+        return Permutation(map(itemgetter(i), self.multiplication_table()))
 
     def index_of(self, p: Permutation) -> int:
         if self._index is None:
@@ -184,9 +163,9 @@ class FiniteGroup:
 
     def multiplication_table(self) -> tuple[array, ...]:
         """The Cayley table, ``table[i][j] == mul(i, j)``.  On the first call
-        of a group given only its generators' rows, a copy of them is filled
-        by right multiplication (:func:`_fill_rows`) and published with the
-        inverses read off it (:func:`_inverses`), never half-filled."""
+        a copy of the given rows is filled by right multiplication
+        (:func:`_fill_rows`) and published with the inverses read off it
+        (:func:`_inverses`), never half-filled."""
         if self._table is None:
             rows = list(self._rows)
             _fill_rows(rows, self._gens, 0)
@@ -196,7 +175,7 @@ class FiniteGroup:
 
     def generating_indices(self) -> tuple[int, ...]:
         """The generators the group was built from, deterministic for a
-        given group: the closure's, repeats dropped, or the table's."""
+        given group: the closure's, repeats dropped, or the constructor's."""
         return self._gens
 
 

@@ -194,32 +194,40 @@ def verify_class_size_theorem(G: FiniteGroup, N: Subgroup, s: int) -> Verdict:
     (nontrivial center, or a proper subgroup of small index obtained as the
     centralizer of a witness element).
     """
-    if s < 2:
+    return _class_size_verdicts(G, N, (s,))[0]
+
+
+def _class_size_verdicts(G: FiniteGroup, N: Subgroup, s_values: tuple[int, ...]) -> list[Verdict]:
+    """:func:`verify_class_size_theorem` for each s, from one derivation of
+    what depends only on N; each verdict is then a comparison with s."""
+    if any(s < 2 for s in s_values):
         raise ValueError("the class-size statement needs an integer s >= 2")
-    stmt = f"d>1/{s}:class-in-N;{_normal_descriptor(G, N)}"
+    desc = _normal_descriptor(G, N)
+    stmts = [f"d>1/{s}:class-in-N;{desc}" for s in s_values]
     if not is_normal(G, N):
-        return Verdict(stmt, False, True, False, "precondition: N is not normal")
-    if N.is_trivial():
-        return Verdict(stmt, False, True, False, "precondition: N is trivial")
-    if not subgroup_is_abelian(G, N):
-        return Verdict(stmt, False, True, False, "precondition: N is not abelian")
-    if N.is_whole():
-        return Verdict(stmt, False, True, False, "precondition: N is the whole group")
-    if find_complement(G, N) is None:
-        return Verdict(stmt, False, True, False, "precondition: G does not split over N")
-    d = commuting_probability(G)
-    if not d > Fraction(1, s):
-        return Verdict(stmt, False, True, note="not applicable")
-    best = _smallest_class_in(G, N)
-    if best is None or best[0] > s - 1:
-        return Verdict(stmt, True, False, note="no class small enough")
-    size, rep = best
-    if size == 1:
-        consequent = "center is nontrivial"
+        skip = "N is not normal"
+    elif N.is_trivial():
+        skip = "N is trivial"
+    elif not subgroup_is_abelian(G, N):
+        skip = "N is not abelian"
+    elif N.is_whole():
+        skip = "N is the whole group"
+    elif find_complement(G, N) is None:
+        skip = "G does not split over N"
     else:
-        consequent = f"centralizer of element {rep} is a proper subgroup of index {size}"
-    note = f"class of size {size} at representative {rep}; " + consequent
-    return Verdict(stmt, True, True, note=note)
+        d, (size, rep) = commuting_probability(G), _smallest_class_in(G, N)  # N is nontrivial
+        if size == 1:
+            consequent = "center is nontrivial"
+        else:
+            consequent = f"centralizer of element {rep} is a proper subgroup of index {size}"
+        note = f"class of size {size} at representative {rep}; " + consequent
+        return [
+            Verdict(stmt, False, True, note="not applicable") if not d > Fraction(1, s)
+            else Verdict(stmt, True, False, note="no class small enough") if size > s - 1
+            else Verdict(stmt, True, True, note=note)
+            for s, stmt in zip(s_values, stmts)
+        ]
+    return [Verdict(stmt, False, True, False, "precondition: " + skip) for stmt in stmts]
 
 
 def verify_klein_fixed_point(G: FiniteGroup, N: Subgroup) -> Verdict:
@@ -330,8 +338,7 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
             continue
         if not subgroup_is_abelian(G, N):
             continue
-        for s in s_values:
-            verdicts.append(verify_class_size_theorem(G, N, s))
+        verdicts.extend(_class_size_verdicts(G, N, s_values))
     for N in normal_subgroups(G):
         if _is_klein(G, N):
             verdicts.append(verify_klein_fixed_point(G, N))

@@ -235,6 +235,22 @@ def oracle_commuting_pairs(G: FiniteGroup) -> int:
     )
 
 
+def oracle_is_group_table(rows) -> bool:
+    """Whether ``rows`` is the Cayley table of a group with identity 0: a
+    Latin square on 0..n-1 whose row 0 and column 0 are the identity's, with
+    (ab)c = a(bc) for every triple."""
+    n, ident = len(rows), list(range(len(rows)))
+    table = [list(r) for r in rows]
+    if not n or table[0] != ident or [r[0] for r in table] != ident:
+        return False
+    if any(sorted(r) != ident for r in table) or any(sorted(c) != ident for c in zip(*table)):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
 def oracle_semidirect_table(N: FiniteGroup, H: FiniteGroup, gen_images) -> list[list[int]]:
     """The full table of N : H, every entry from (a, h) * (a', h') =
     (a^h' * a', h * h') at index a * |H| + h.  ``gen_images`` maps each acting

@@ -14,8 +14,9 @@ from commprob.cli import (
     parse_group_file,
 )
 import commprob
+from commprob.constructors import ActionSpec, cyclic, semidirect_product
 from commprob.isoclinism import find_isoclinism
-from commprob.perm import generate_group
+from commprob.perm import Permutation, generate_group
 
 from oracles import are_isomorphic
 
@@ -103,6 +104,41 @@ def test_round_trip_trivial():
     G = generate_group(1, [])
     degree, gens = parse_group_file(format_group_file(G))
     assert degree == 1 and gens == []
+
+
+# SHA-256 over `format_group_file` of every catalog group, each preceded by
+# its key; outputs are fixed, so any change to this value is a regression
+CATALOG_FILES_SHA256 = "22db0743579d09710a67fe4a616f044ac8b9a0a934a1a078fe83b69f5a69497e"
+
+
+def test_catalog_group_files_pinned(cat):
+    digest = hashlib.sha256()
+    for name, G in cat.items():
+        digest.update(name.encode() + b"\n" + format_group_file(G).encode())
+    assert digest.hexdigest() == CATALOG_FILES_SHA256
+
+
+def test_group_file_builds_only_the_generators(monkeypatch):
+    # C250 : C4, the generator of C4 inverting C250: a group given by rows,
+    # printed from the permutations of its two generators, not of its 1000
+    # elements (each of degree 1000)
+    N, H = cyclic(250), cyclic(4)
+    G = semidirect_product(N, H, ActionSpec((1,), (tuple(-a % 250 for a in range(250)),)))
+    assert G.order == 1000 and len(G.generating_indices()) == 2
+    built = [0]
+    init = Permutation.__init__
+
+    def counting_init(self, images):
+        built[0] += 1
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    text = format_group_file(G)
+    assert built[0] <= len(G.generating_indices())
+    monkeypatch.undo()
+    lines = text.splitlines()
+    assert lines[0] == "1000"
+    assert lines[1:] == [" ".join(map(str, G.elements[g].images)) for g in G.generating_indices()]
 
 
 # -- commands --------------------------------------------------------------------

@@ -25,7 +25,13 @@ from commprob.structure import (
     is_normal,
 )
 
-from oracles import are_isomorphic, gl_order, oracle_perm_order, oracle_semidirect_table
+from oracles import (
+    are_isomorphic,
+    gl_order,
+    oracle_is_group_table,
+    oracle_perm_order,
+    oracle_semidirect_table,
+)
 
 # every catalog key's degree, element images, generators and last table row
 CATALOG_SHA256 = "7a4b4f8d2445dffaff4640fa0151a56367835dd2879a42d8298b02799f3754c1"
@@ -280,6 +286,29 @@ def test_catalog_golden_dump(cat):
         last_row = G.multiplication_table()[-1].tolist()
         digest.update(repr((name, G.degree, images, G.generating_indices(), last_row)).encode())
     assert digest.hexdigest() == CATALOG_SHA256
+
+
+def test_catalog_tables_are_group_tables(cat):
+    # no constructor checks the rows it hands over; these are its tables
+    for name, G in cat.items():
+        if G.order <= 75:
+            assert oracle_is_group_table(G.multiplication_table()), name
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],  # no identity
+        [[1, 0], [0, 1]],  # row 0 is not the identity's
+        [[0, 1], [1, 5]],  # an entry outside 0..n-1
+        [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # a row that is not a permutation
+        [[0, 1, 2], [1, 0, 2], [2, 1, 0]],  # rows permute, columns 1 and 2 do not
+        # a Latin square with identity 0 whose product is not associative
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+    ],
+)
+def test_oracle_refuses_non_group_tables(rows):
+    assert not oracle_is_group_table(rows)
 
 
 def test_quaternion_element_orders(cat):

@@ -5,19 +5,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commprob import isoclinism
-from commprob.constructors import _dihedral, cyclic, direct_product, named
+from commprob.constructors import (
+    _dihedral,
+    automorphism_from_generator_images,
+    cyclic,
+    direct_product,
+    named,
+)
 from commprob.isoclinism import (
     are_isoclinic,
     commutator_pairing,
     find_isoclinism,
     is_stem,
 )
-from commprob.isomorphism import (
-    extend_generator_map,
-    extend_to_isomorphism,
-    iter_isomorphisms,
-)
-from commprob.perm import GroupError, Permutation, generate_group
+from commprob.isomorphism import iter_isomorphisms
+from commprob.perm import GroupError, Permutation, _extend_map, generate_group
 from commprob.probability import commuting_probability
 from commprob.structure import center, is_supersolvable, normal_subgroups
 from commprob.theorems import analyze
@@ -128,9 +130,18 @@ def brute_force_generator_map(G, gens, H, images):
 def test_extend_generator_map_matches_brute_force(spec):
     G, gens, H, images = spec
     expected = brute_force_generator_map(G, gens, H, images)
-    assert extend_generator_map(G, gens, H, images) == expected
-    bijective = expected is not None and sorted(expected) == list(range(H.order))
-    assert extend_to_isomorphism(G, gens, H, images) == (expected if bijective else None)
+    rows_h = H.multiplication_table()
+    phi, clash = _extend_map(
+        G.multiplication_table(), G.identity_index, gens, images,
+        lambda px, mg: rows_h[px][mg], H.identity_index,
+    )
+    assert (phi if clash is None else None) == expected
+    if H is G:  # an automorphism exactly when the map is a bijection of G
+        if expected is not None and sorted(expected) == list(range(G.order)):
+            assert automorphism_from_generator_images(G, gens, images) == tuple(expected)
+        else:
+            with pytest.raises(GroupError, match="do not define an automorphism"):
+                automorphism_from_generator_images(G, gens, images)
 
 
 def test_same_order_different_groups(cat):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commprob.constructors import named
 from commprob.perm import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -14,6 +15,7 @@ from commprob.perm import (
     OrderCapExceeded,
     Permutation,
     _fill_rows,
+    _inverses,
     element_order,
     generate_group,
 )
@@ -154,30 +156,6 @@ def test_order_above_16_bit_limit_refused():
         generate_group(9, [cycle, swap], max_order=400_000)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [],  # no identity
-        [[1, 0], [0, 1]],  # row 0 is not the identity's
-        [[0, 1], [1, 5]],  # an entry outside 0..n-1
-        [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # a row that is not a permutation
-        [[0, 1, 2], [1, 0, 2], [2, 1, 0]],  # rows permute, columns 1 and 2 do not
-        [[0, 1], [1, 0]],  # C2's table, but no generators
-    ],
-)
-def test_non_group_table_refused(rows):
-    with pytest.raises(GroupError, match="not a group table"):
-        FiniteGroup.from_table([array("H", r) for r in rows], ())
-
-
-@pytest.mark.parametrize("gens", [(), (1,), (1, 6), (-1,)])
-def test_table_generators_must_generate(gens):
-    # element 1 of S3 is a transposition: it generates a subgroup of order 2
-    rows = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])]).multiplication_table()
-    with pytest.raises(GroupError, match="not a group table generated by"):
-        FiniteGroup.from_table(rows, gens)
-
-
 def test_closure_checks_no_product(monkeypatch):
     # the generators are checked once when made; the closure walks image
     # tuples, and neither it nor FiniteGroup checks a product again
@@ -204,8 +182,8 @@ def test_non_associative_table_refused():
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ]
-    with pytest.raises(GroupError, match="not a group table"):
-        FiniteGroup.from_table([array("H", r) for r in rows], (1, 2))
+    with pytest.raises(GroupError, match="inverses disagree"):
+        _inverses([array("H", r) for r in rows], (1, 2), 0)
 
 
 @st.composite
@@ -227,12 +205,25 @@ def test_kernel_matches_permutation_products(spec):
             assert G.mul(i, j) == G.index_of(els[i] * els[j])
     # inverses and orders, read off the table, for G and for the group its
     # table gives (whose elements are G's right regular permutations)
-    table_given = FiniteGroup.from_table(G.multiplication_table(), G.generating_indices())
+    table_given = FiniteGroup._over_table(G.multiplication_table(), G.generating_indices())
     for group in (G, table_given):
         for i in range(group.order):
             p = group.elements[i]
             assert (p * group.elements[group.inv(i)]).images == tuple(range(group.degree))
             assert element_order(group, i) == oracle_perm_order(p)
+
+
+def test_element_is_the_kept_permutation_or_a_column():
+    # for a closure the kept permutation; for a group given by rows, column i
+    # of its table, a -> a * i, read before the full tuple is built
+    S4 = generate_group(4, [Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
+    assert [S4.element(i) for i in range(24)] == list(S4.elements)
+    for name in ("Q8", "C7:C3"):
+        G = named(name)
+        rows = G.multiplication_table()
+        columns = [G.element(i) for i in range(G.order)]
+        assert [p.images for p in columns] == [tuple(r[i] for r in rows) for i in range(G.order)]
+        assert columns == list(G.elements), name
 
 
 def composed_table(G):
