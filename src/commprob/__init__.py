@@ -45,9 +45,7 @@ from .probability import (
 from .isomorphism import iter_isomorphisms
 from .isoclinism import (
     IsoclinismWitness,
-    PairingStructure,
     are_isoclinic,
-    commutator_pairing,
     find_isoclinism,
     is_stem,
 )

@@ -1,19 +1,22 @@
-"""Isoclinism of finite groups via commutator pairing structures.
+"""Isoclinism of finite groups, decided by one walk over generator commutators.
 
-Two groups are isoclinic when there are isomorphisms between their central
-quotients and between their derived subgroups that carry one commutator
-pairing to the other.  The pairing of a group G is the well-defined map
-(g1 Z, g2 Z) -> [g1, g2] from pairs of central cosets into the derived
-subgroup; it is the full invariant and is checked directly here.  A section
-G/K of G (G/Z(G), say) is decided the same way, read in G's own table.
+Two groups G and H are isoclinic when there are isomorphisms phi of their
+central quotients and psi of their derived subgroups with
+psi([g1, g2]) = [h1, h2] whenever h1, h2 lie in the cosets phi gives g1, g2.
+A section G/K of G (G/Z(G), say) is decided the same way, read in G's own
+table.  Each candidate phi is tested by one walk over G'K/K: G' is the
+normal closure of the commutators of G's generators, so by P. Hall's
+identities [xy, z] = [x, z]^y [y, z] and [x, yz] = [x, z][x, y]^z, psi is
+fixed by its values on those commutators and by commuting with conjugation
+by the generators.  No table of all commutators is built.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .perm import FiniteGroup, GroupError, _extend_map
-from .isomorphism import _section_steps, iter_isomorphisms
+from .perm import FiniteGroup, _extend_map
+from .isomorphism import iter_isomorphisms
 from .structure import (
     Subgroup,
     _cached,
@@ -24,31 +27,18 @@ from .structure import (
 )
 
 
-class PairingStructure(NamedTuple):
-    """The isoclinism invariant of G/K, read in G's table (K = 1 for G).
-
-    ``center`` is M = {g : [g, x] in K for every generator x of G}, so the
-    central quotient of G/K is G/M, numbered by the right-coset ids of M
-    (:func:`~commprob.structure._coset_data`).  ``derived`` is G'K/K as
-    ``(of, reps)``: the cosets of K in G'K numbered by lowest member,
-    ``reps[i]`` that member and ``of[g]`` g's number, -1 outside G'K (for
-    K = 1, G' in member order).  ``pairing[q1][q2]`` is the number of the
-    commutator of any representatives of the cosets q1 and q2 of M.
-    """
-
-    center: Subgroup
-    derived: tuple[tuple[int, ...], tuple[int, ...]]
-    pairing: tuple[tuple[int, ...], ...]
-
-
 class IsoclinismWitness(NamedTuple):
     quotient_iso: tuple[int, ...]
     derived_iso: tuple[int, ...]
 
 
 def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
-    """``center`` and ``derived`` of G/K's pairing structure, memoized per
-    K; for K = 1, M is :func:`center`'s memo."""
+    """The central quotient and derived subgroup of G/K, read in G's table and
+    memoized per K.  The first is M = {g : [g, x] in K for every generator x
+    of G}, so that G/M is the central quotient of G/K (for K = 1, M is
+    :func:`center`'s memo).  The second is G'K/K as ``(of, reps)``: the
+    cosets of K in G'K numbered by lowest member, ``reps[i]`` that member and
+    ``of[g]`` g's number, -1 outside G'K (for K = 1, G' in member order)."""
 
     def compute():
         k_of, k_reps = _coset_data(G, K)
@@ -65,35 +55,14 @@ def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
     return _cached(G, ("section", K.member_indices), compute)
 
 
-def commutator_pairing(G: FiniteGroup, K: Subgroup | None = None) -> PairingStructure:
-    """The pairing structure of G/K (of G by default), verified well defined.
-
-    For z, z' in M, [g1 z, g2 z'] = [g1, g2] mod K makes it so.  The row of
-    [g1, r2] over the representatives r2 of M's cosets is taken for the
-    lowest g1 of every coset of K, in index order: the first row met in a
-    coset of M is its representative's, and every later one must equal it.
-    The second argument needs no check, since [b, a] = [a, b]^-1: with r1,
-    r2 the representatives of g1's and g2's cosets, [r1, g2] = [g2, r1]^-1,
-    which the first check equates with [r2, r1]^-1 = [r1, r2].
-    """
-    K = K or subgroup_generated(G, ())
-
-    def compute():
-        M, derived = _section(G, K)
-        (pi, reps), d_of = _coset_data(G, M), derived[0]
-        rows = G.multiplication_table()
-        reps_inv = [(r, G.inv(r)) for r in reps]
-        pairing: list = [None] * len(reps)
-        for a in _coset_data(G, K)[1]:  # [a, b] = a^-1 b^-1 a b
-            row_a, row_a_inv = rows[a], rows[G.inv(a)]
-            row = tuple([d_of[rows[row_a_inv[b_inv]][row_a[b]]] for b, b_inv in reps_inv])
-            if pairing[pi[a]] is None:
-                pairing[pi[a]] = row
-            elif pairing[pi[a]] != row:
-                raise GroupError("commutator pairing is not well defined")
-        return PairingStructure(M, derived, tuple(pairing))
-
-    return _cached(G, ("pairing", K.member_indices), compute)
+def _walk_edges(G: FiniteGroup, gens) -> list[tuple[int, int]]:
+    """The edges of the walk over a derived subgroup as pairs (a, b), each
+    sending x to a·x·b: right multiplication by [s, s'] for every two of the
+    elements ``gens`` (a = 1), then conjugation by each s (a = s^-1, b = s)."""
+    rows = G.multiplication_table()
+    pairs = [(s, s2) for i, s in enumerate(gens) for s2 in gens[i + 1:]]
+    comms = [(G.identity_index, rows[rows[G.inv(s)][G.inv(s2)]][rows[s][s2]]) for s, s2 in pairs]
+    return comms + [(G.inv(s), s) for s in gens]
 
 
 def is_stem(G: FiniteGroup) -> bool:
@@ -102,50 +71,39 @@ def is_stem(G: FiniteGroup) -> bool:
     return all(z in derived for z in center(G).member_indices)
 
 
-def _induced_derived_map(
-    G: FiniteGroup, H: FiniteGroup, a: PairingStructure, b: PairingStructure, phi: list[int]
-) -> tuple[int, ...] | None:
-    """Extend the map forced on pairing values by phi to an isomorphism of
-    the derived groups, or return None if it is not functional or does not
-    extend: one :func:`~commprob.perm._extend_map` walk in G's table."""
-    forced: dict[int, int] = {}
-    for q1, row_a in enumerate(a.pairing):
-        row_b = b.pairing[phi[q1]]
-        for q2, val in enumerate(row_a):
-            target = row_b[phi[q2]]
-            if forced.setdefault(val, target) != target:
-                return None
-    gens = sorted(forced)
-    (of_a, reps_a), (of_b, reps_b) = a.derived, b.derived
-    rows_h = H.multiplication_table()
-    psi, clash = _extend_map(
-        _section_steps(G.multiplication_table(), of_a, reps_a, gens), 0, gens,
-        [forced[g] for g in gens], lambda x, y: of_b[rows_h[reps_b[x]][reps_b[y]]], 0,
-    )
-    if clash is not None or -1 in psi or len(set(psi)) != len(psi):
-        return None
-    return tuple(psi)
-
-
 def find_isoclinism(
     G: FiniteGroup, H: FiniteGroup, K: Subgroup | None = None
 ) -> IsoclinismWitness | None:
-    """Search for compatible isomorphisms of the pairing structures of G/K
-    (G by default) and H.
+    """Search for an isoclinism of G/K (G by default) and H.
 
-    Cheap order prechecks run before any pairing is built; the quotient
-    isomorphisms are then enumerated in canonical order and the first one
-    whose induced map extends to the derived groups wins.
+    Cheap order prechecks come first.  The isomorphisms phi: G/M -> H/Z(H)
+    of the central quotients are then enumerated in canonical order, and
+    the first one that extends wins.  For each generator s of G, t_s is the
+    lowest member of the coset phi(sM); then psi(1) = 1 is extended by one
+    :func:`~commprob.perm._extend_map` walk over G'K/K along the edges
+    x -> x·[s, s'] (to psi(x)·[t_s, t_s']) and x -> x^s (to psi(x)^t_s).
+    The orbit of (1, 1) under these edges is the derived subgroup of the
+    group of pairs (g, h) with h in phi(gM), so phi extends exactly when the
+    walk has no clash, reaches all of G'K/K and psi is injective.
     """
     K = K or subgroup_generated(G, ())
-    (mg, dg), (mh, dh) = _section(G, K), _section(H, subgroup_generated(H, ()))
-    if G.order // mg.order != H.order // mh.order or len(dg[1]) != len(dh[1]):
+    mg, (of_a, reps_a) = _section(G, K)
+    mh, (of_b, reps_b) = _section(H, subgroup_generated(H, ()))
+    if G.order // mg.order != H.order // mh.order or len(reps_a) != len(reps_b):
         return None
-    pg, ph = commutator_pairing(G, K), commutator_pairing(H)
-    for phi in iter_isomorphisms(G, H, pg.center, ph.center):
-        psi = _induced_derived_map(G, H, pg, ph, phi)
-        if psi is not None:
-            return IsoclinismWitness(tuple(phi), psi)
+    gens = G.generating_indices()
+    of_m, reps_n = _coset_data(G, mg)[0], _coset_data(H, mh)[1]
+    rows, rows_h = G.multiplication_table(), H.multiplication_table()
+    edges = _walk_edges(G, gens)
+    steps = [[of_a[rows[rows[a][r]][b]] for a, b in edges] for r in reps_a]
+    for phi in iter_isomorphisms(G, H, mg, mh):
+        edges_h = _walk_edges(H, [reps_n[phi[of_m[s]]] for s in gens])
+        psi, clash = _extend_map(
+            steps, 0, range(len(edges_h)), edges_h,
+            lambda y, ab: of_b[rows_h[rows_h[ab[0]][reps_b[y]]][ab[1]]], 0,
+        )
+        if clash is None and -1 not in psi and len(set(psi)) == len(psi):
+            return IsoclinismWitness(tuple(phi), tuple(psi))
     return None
 
 

@@ -7,6 +7,10 @@ and the subgroup lattice is enumerated from generating seeds.  Quotients
 and subgroups as groups of their own are closures of permutations.  Two
 helpers are thin wrappers instead: :func:`find_isomorphism` and
 :func:`are_isomorphic` take the first map of the library's isomorphism search.
+The commutator pairing and the isoclinism decision built on it number
+sections as the library does (``isoclinism._section``), so that their
+witnesses can be compared with the library's, but evaluate every
+commutator of the section.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from commprob.isoclinism import IsoclinismWitness
+from commprob.isoclinism import IsoclinismWitness, _section
 from commprob.isomorphism import iter_isomorphisms
-from commprob.perm import FiniteGroup, Permutation, generate_group
-from commprob.structure import Subgroup
+from commprob.perm import FiniteGroup, GroupError, Permutation, generate_group
+from commprob.structure import Subgroup, _coset_data, subgroup_generated
 
 
 def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -340,3 +344,79 @@ def verify_isoclinism_witness(
             if psi[pos_g[rows_g[dx][dy]]] != pos_h[rows_h[der_h[psi[x]]][der_h[psi[y]]]]:
                 return False
     return True
+
+
+def oracle_commutator_pairing(G: FiniteGroup, K: Subgroup | None = None):
+    """The commutator pairing of G/K (of G by default), verified well defined,
+    as ``(M, (of, reps), pairing)``: M and G'K/K's numbering are those of
+    ``isoclinism._section``, and ``pairing[q1][q2]`` is the number of the
+    commutator of any representatives of the cosets q1 and q2 of M.
+
+    For z, z' in M, [g1 z, g2 z'] = [g1, g2] mod K makes it so.  The row of
+    [g1, r2] over the representatives r2 of M's cosets is taken for the
+    lowest g1 of every coset of K, in index order: the first row met in a
+    coset of M is its representative's, and every later one must equal it.
+    The second argument needs no check, since [b, a] = [a, b]^-1: with r1,
+    r2 the representatives of g1's and g2's cosets, [r1, g2] = [g2, r1]^-1,
+    which the first check equates with [r2, r1]^-1 = [r1, r2].
+    """
+    K = K or subgroup_generated(G, ())
+    M, derived = _section(G, K)
+    (pi, reps), d_of = _coset_data(G, M), derived[0]
+    rows = G.multiplication_table()
+    reps_inv = [(r, G.inv(r)) for r in reps]
+    pairing: list = [None] * len(reps)
+    for a in _coset_data(G, K)[1]:  # [a, b] = a^-1 b^-1 a b
+        row_a, row_a_inv = rows[a], rows[G.inv(a)]
+        row = tuple([d_of[rows[row_a_inv[b_inv]][row_a[b]]] for b, b_inv in reps_inv])
+        if pairing[pi[a]] is None:
+            pairing[pi[a]] = row
+        elif pairing[pi[a]] != row:
+            raise GroupError("commutator pairing is not well defined")
+    return M, derived, tuple(pairing)
+
+
+def oracle_find_isoclinism(
+    G: FiniteGroup, H: FiniteGroup, K: Subgroup | None = None
+) -> IsoclinismWitness | None:
+    """The first isoclinism of G/K (G by default) and H over the library's
+    quotient isomorphisms phi, decided on the full pairings: phi forces
+    psi(pairing of q1, q2) = pairing of phi(q1), phi(q2); psi is grown from
+    psi(1) = 1 by products of forced values, and kept only if it is a
+    bijective homomorphism, checked on every pair, that agrees with every
+    forced value."""
+    K = K or subgroup_generated(G, ())
+    mg, (of_a, reps_a), pg = oracle_commutator_pairing(G, K)
+    mh, (of_b, reps_b), ph = oracle_commutator_pairing(H)
+    if len(pg) != len(ph) or len(reps_a) != len(reps_b):
+        return None
+    rows_g, rows_h = G.multiplication_table(), H.multiplication_table()
+
+    def mul_a(x: int, y: int) -> int:
+        return of_a[rows_g[reps_a[x]][reps_a[y]]]
+
+    def mul_b(x: int, y: int) -> int:
+        return of_b[rows_h[reps_b[x]][reps_b[y]]]
+
+    for phi in iter_isomorphisms(G, H, mg, mh):
+        forced: dict[int, int] = {}
+        functional = True
+        for q1, row in enumerate(pg):
+            for q2, value in enumerate(row):
+                target = ph[phi[q1]][phi[q2]]
+                functional = functional and forced.setdefault(value, target) == target
+        if not functional:
+            continue
+        psi, reached = {0: 0}, [0]
+        for x in reached:
+            for g, image in forced.items():
+                if mul_a(x, g) not in psi:
+                    psi[mul_a(x, g)] = mul_b(psi[x], image)
+                    reached.append(mul_a(x, g))
+        if (
+            sorted(psi) == sorted(psi.values()) == list(range(len(reps_a)))
+            and all(psi[g] == image for g, image in forced.items())
+            and all(psi[mul_a(x, y)] == mul_b(psi[x], psi[y]) for x in psi for y in psi)
+        ):
+            return IsoclinismWitness(tuple(phi), tuple(psi[x] for x in range(len(reps_a))))
+    return None

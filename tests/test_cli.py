@@ -26,12 +26,14 @@ A4_FILE = "4\n1 2 0 3\n1 0 3 2\n"
 # change to this value is a regression, not an update
 VERIFY_ALL_SHA256 = "aea612bbe96f71fa48e646a27ca317b54ccbffa15140b33f52957ac558349665"
 
-# SHA-256 of `analyze <path>` stdout for group files outside the catalog, by
-# the relative path read (the report's name is that path); outputs are fixed
-# as above.  S6's path and hash are those of the benchmark's seed-0 `s6` run.
+# SHA-256 of `analyze <path> <args>` stdout for group files outside the
+# catalog, by the relative path read (the report's name is that path);
+# outputs are fixed as above.  S6's path and hash are those of the
+# benchmark's seed-0 `s6` run; C2^6 and D1000 are CI's smoke-test files.
 ANALYZE_GOLDEN = {
     ".perfbench_work/s6.grp": (
         "6\n1 2 3 4 5 0\n1 0 2 3 4 5\n",
+        (),
         "b001ac90d142f6e3e4b3fe3728ce8bf9dd623a486f875801056b47994cad9d1d",
     ),
     "c2_5.grp": (  # C2^5: five disjoint transpositions of 10 points
@@ -41,7 +43,28 @@ ANALYZE_GOLDEN = {
         "0 1 2 3 5 4 6 7 8 9\n"
         "0 1 2 3 4 5 7 6 8 9\n"
         "0 1 2 3 4 5 6 7 9 8\n",
+        (),
         "596d47467187a3e43518697e8a09af44c3a79a611786151893006e27105edd6a",
+    ),
+    "c2_6.grp": (  # C2^6: six disjoint transpositions of 12 points
+        "12\n" + "".join(
+            " ".join(map(str, [*range(2 * i), 2 * i + 1, 2 * i, *range(2 * i + 2, 12)])) + "\n"
+            for i in range(6)
+        ),
+        (),
+        "a60e2ce63985da92312f48b9d300afa253e694328f550501e553ed2cbf180cbf",
+    ),
+    "d1000.grp": (  # dihedral of order 1000: i -> i + 1 and i -> -i mod 500
+        "500\n"
+        + " ".join(str((i + 1) % 500) for i in range(500)) + "\n"
+        + " ".join(str(-i % 500) for i in range(500)) + "\n",
+        (),
+        "a9d306fae3c27ce131f4ece27d5265c7aa053f61ed1e909531d5d9d31bf7327c",
+    ),
+    "s7.grp": (
+        "7\n1 2 3 4 5 6 0\n1 0 2 3 4 5 6\n",
+        ("--max-order", "5040"),
+        "a6dc60c3ff18780d6b325d9b0854b5ed299f3ad7f5c5f06327bdc834a58ecefc",
     ),
 }
 
@@ -349,6 +372,17 @@ def test_isoclinic_witness_pinned(first, second, witness, capsys):
     assert out == {"first": first, "second": second, "isoclinic": True, "witness": witness}
 
 
+def test_isoclinic_file_pair_witness_pinned(tmp_path, monkeypatch, capsys):
+    # S6 against S6 x C2 (the transposition (6 7) added on 8 points)
+    monkeypatch.chdir(tmp_path)
+    Path("s6.grp").write_text("6\n1 2 3 4 5 0\n1 0 2 3 4 5\n")
+    Path("s6c2.grp").write_text("8\n1 2 3 4 5 0 6 7\n1 0 2 3 4 5 6 7\n0 1 2 3 4 5 7 6\n")
+    assert main(["isoclinic", "s6.grp", "s6c2.grp", "--witness"]) == 0
+    out = capsys.readouterr().out
+    sha = "e50770f11b4482ece77471b7bb0f5c92358496114df919eafaac3529667af274"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 # SHA-256 of the first isoclinism witness, or None, for every ordered pair of
 # catalog groups of order at most 75; fixed as the witnesses above
 CATALOG_PAIR_WITNESSES_SHA256 = "7d8c5d478cd677665090f856d543aba0c83f4d80734031f348cf69573c119856"
@@ -541,11 +575,11 @@ def test_verify_all_golden_output(capsys):
 
 @pytest.mark.parametrize("path", sorted(ANALYZE_GOLDEN))
 def test_analyze_golden_output(path, tmp_path, monkeypatch, capsys):
-    text, sha = ANALYZE_GOLDEN[path]
+    text, args, sha = ANALYZE_GOLDEN[path]
     monkeypatch.chdir(tmp_path)
     Path(path).parent.mkdir(exist_ok=True)
     Path(path).write_text(text)
-    assert main(["analyze", path]) == 0
+    assert main(["analyze", path, *args]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 

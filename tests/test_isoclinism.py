@@ -12,21 +12,18 @@ from commprob.constructors import (
     direct_product,
     named,
 )
-from commprob.isoclinism import (
-    are_isoclinic,
-    commutator_pairing,
-    find_isoclinism,
-    is_stem,
-)
+from commprob.isoclinism import _section, are_isoclinic, find_isoclinism, is_stem
 from commprob.isomorphism import iter_isomorphisms
 from commprob.perm import GroupError, Permutation, _extend_map, generate_group
 from commprob.probability import commuting_probability
-from commprob.structure import center, is_supersolvable, normal_subgroups
+from commprob.structure import center, is_supersolvable, normal_subgroups, subgroup_generated
 from commprob.theorems import analyze
 
 from oracles import (
     are_isomorphic,
     find_isomorphism,
+    oracle_commutator_pairing,
+    oracle_find_isoclinism,
     oracle_quotient,
     verify_isoclinism_witness,
 )
@@ -155,29 +152,28 @@ def test_same_order_different_groups(cat):
 
 def test_pairing_abelian(cat):
     G = cat["C12"]
-    p = commutator_pairing(G)
-    assert p.center.order == G.order
-    assert p.derived[1] == (G.identity_index,)
-    assert p.pairing == ((0,),)
+    M, derived, pairing = oracle_commutator_pairing(G)
+    assert M.order == G.order
+    assert derived[1] == (G.identity_index,)
+    assert pairing == ((0,),)
 
 
 def test_pairing_a4(cat):
-    p = commutator_pairing(cat["A4"])
-    assert p.center.order == 1
-    assert len(p.derived[1]) == 4
+    M, derived, _ = oracle_commutator_pairing(cat["A4"])
+    assert M.order == 1
+    assert len(derived[1]) == 4
 
 
 def test_pairing_invariants(cat):
     for name in ("S3", "D8", "Q8", "A4", "C2xA4"):
         G = cat[name]
-        p = commutator_pairing(G)
-        of, reps = p.derived
-        n = G.order // p.center.order
+        M, (of, reps), pairing = oracle_commutator_pairing(G)
+        n = G.order // M.order
         for q in range(n):
-            assert p.pairing[q][q] == 0, name
+            assert pairing[q][q] == 0, name
         for q1 in range(n):
             for q2 in range(n):
-                assert p.pairing[q1][q2] == of[G.inv(reps[p.pairing[q2][q1]])], name
+                assert pairing[q1][q2] == of[G.inv(reps[pairing[q2][q1]])], name
 
 
 # -- isoclinism ----------------------------------------------------------------
@@ -262,13 +258,14 @@ def test_pairing_over_a_non_central_subgroup_is_refused(monkeypatch):
     klein = next(n for n in normal_subgroups(a4) if n.order == 4)
     monkeypatch.setattr(isoclinism, "center", lambda G: klein)
     with pytest.raises(GroupError, match="not well defined"):
-        commutator_pairing(a4)
+        oracle_commutator_pairing(a4)
 
 
 def test_pairing_of_g_mod_1_shares_the_memo_of_g():
     # S3 has a trivial center, so the section S3/Z(S3) is S3/1, read as S3
     s3 = named("S3")
-    assert commutator_pairing(s3, center(s3)) is commutator_pairing(s3)
+    assert _section(s3, center(s3)) is _section(s3, subgroup_generated(s3, ()))
+    assert oracle_commutator_pairing(s3, center(s3)) == oracle_commutator_pairing(s3)
     assert are_isoclinic(s3, named("S3"), center(s3))
 
 
@@ -292,7 +289,7 @@ def test_section_with_a_nontrivial_center():
     # D16/Z(D16) is D8: its central quotient is D16 mod a subgroup of order 4
     d16 = _dihedral(16)
     z = center(d16)
-    assert commutator_pairing(d16, z).center.order == 4
+    assert _section(d16, z)[0].order == 4
     assert are_isoclinic(d16, named("Q8"), z) and not are_isoclinic(d16, named("A4"), z)
 
 
@@ -311,3 +308,23 @@ def test_isoclinism_beyond_the_catalog(spec):
     assert commuting_probability(G) == commuting_probability(GC)
     expected = are_isoclinic(oracle_quotient(G, center(G)), named("A4"))
     assert analyze(G).quotient_by_center_isoclinic_to_A4 == expected
+
+
+@given(generator_sets())
+@example((4, [(1, 2, 0, 3), (1, 0, 3, 2)]))  # A4
+@example((6, [(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5), (0, 1, 2, 3, 5, 4)]))  # D8 x C2
+@example((6, [(1, 2, 3, 0, 4, 5), (1, 0, 2, 3, 4, 5)]))  # S4
+@settings(deadline=None, max_examples=20)
+def test_walk_matches_the_oracle_pairing(spec):
+    # the generator-commutator walk finds the same witness, or none, as a
+    # decision on the full pairings, for every section G/K against small
+    # targets and against G itself
+    degree, gens = spec
+    G = generate_group(degree, [Permutation(g) for g in gens])
+    for H in [named(key) for key in ("A4", "S3", "D8", "Q8")] + [G]:
+        for K in normal_subgroups(G):
+            witness = find_isoclinism(G, H, K)
+            assert witness == oracle_find_isoclinism(G, H, K), (H.order, K.order)
+            if witness is not None and K.is_trivial():
+                assert verify_isoclinism_witness(G, H, witness)
+    assert find_isoclinism(G, G) is not None

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commprob.perm import GroupError, Permutation, generate_group
@@ -24,10 +24,12 @@ from commprob.structure import (
 
 from oracles import (
     oracle_commuting_pairs,
+    oracle_conjugacy_classes,
     oracle_gallagher_equality,
     oracle_quotient,
     oracle_subgroup,
 )
+from strategies import generator_sets
 
 
 def test_class_count_examples(cat):
@@ -60,6 +62,18 @@ def test_oracle_cap():
 def test_gustafson_identity_catalog_wide(cat):
     for name, G in cat.items():
         assert commuting_probability(G) == commuting_pairs_oracle(G), name
+
+
+@given(generator_sets())
+@example((6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]))  # S6
+@settings(deadline=None, max_examples=30)
+def test_gustafson_identity_beyond_the_catalog(spec):
+    # d(G) = k(G)/|G| = |{(x, y) : xy = yx}|/|G|^2, both counted by brute force
+    degree, gens = spec
+    G = generate_group(degree, [Permutation(g) for g in gens])
+    d = commuting_probability(G)
+    assert d == Fraction(len(oracle_conjugacy_classes(G)), G.order)
+    assert d == Fraction(oracle_commuting_pairs(G), G.order**2)
 
 
 def test_average_class_size(cat):
