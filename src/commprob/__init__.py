@@ -39,7 +39,6 @@ from .probability import (
     class_count,
     commuting_pairs_oracle,
     commuting_probability,
-    derived_order_bound_witness,
     gallagher_check,
 )
 from .isomorphism import iter_isomorphisms

@@ -107,11 +107,19 @@ def format_group_file(G: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_group(args) -> tuple[FiniteGroup, str]:
-    name = getattr(args, "name", None)
-    path = getattr(args, "path", None)
+def _group_source(args, suffix: str = "") -> tuple[str | None, str | None]:
+    """The catalog key and file path given as ``--name<suffix>`` and
+    ``path<suffix>`` (suffix "2" for isoclinic's second group), exactly one
+    of them set."""
+    name, path = getattr(args, "name" + suffix, None), getattr(args, "path" + suffix, None)
     if (name is None) == (path is None):
-        raise GroupError("give exactly one of a catalog --name or a group file path")
+        which = "a second group file path" if suffix else "a group file path"
+        raise GroupError(f"give exactly one of a catalog --name{suffix} or {which}")
+    return name, path
+
+
+def _load_group(args, suffix: str = "") -> tuple[FiniteGroup, str]:
+    name, path = _group_source(args, suffix)
     if name is not None:
         return named(name), name
     return _read_group(path, args.max_order), path
@@ -164,17 +172,8 @@ def _emit_table(obj: dict, out) -> None:
         if key == "verdicts":
             print("verdicts:", file=out)
             for v in value:
-                state = (
-                    "SKIP"
-                    if not v["precondition_ok"]
-                    else "VACUOUS"
-                    if not v["applicable"]
-                    else "HOLDS"
-                    if v["holds"]
-                    else "FAIL"
-                )
                 note = f"  ({v['note']})" if v["note"] else ""
-                print(f"  {state:7} {v['statement']}{note}", file=out)
+                print(f"  {Verdict(**v).state:7} {v['statement']}{note}", file=out)
         else:
             print(f"{key}: {value}", file=out)
 
@@ -248,9 +247,9 @@ def _emit_verify(reports, fmt: str) -> int:
         for report in reports:
             d = report.to_dict()
             print(f"== {d['name']} (order {d['order']}, d={d['d']})")
-            for v in d["verdicts"]:
-                if not v["holds"]:
-                    print(f"   FAIL {v['statement']} {v['note']}")
+            for v in report.theorem_verdicts:
+                if v.state == "FAIL":
+                    print(f"   FAIL {v.statement} {v.note}")
         print(
             "summary: {groups} groups, {verdicts} verdicts, {applicable} applicable, "
             "{failures} failures".format(**summary)
@@ -261,13 +260,9 @@ def _emit_verify(reports, fmt: str) -> int:
 def _cmd_isoclinic(args) -> int:
     if args.name is not None and args.path is not None and args.path2 is args.name2 is None:
         args.path, args.path2 = None, args.path  # --name G H.grp: the file is the second group
-    if (args.name2 is None) == (args.path2 is None):
-        raise GroupError("give exactly one of a catalog --name2 or a second group file path")
+    _group_source(args, "2")  # a bad second source is refused before the first is read
     G, la = _load_group(args)
-    if args.name2 is not None:
-        H, lb = named(args.name2), args.name2
-    else:
-        H, lb = _read_group(args.path2, args.max_order), args.path2
+    H, lb = _load_group(args, "2")
     witness = find_isoclinism(G, H)
     payload: dict = {"first": la, "second": lb, "isoclinic": witness is not None}
     if witness is not None and args.witness:

@@ -22,6 +22,7 @@ from .structure import (
     _cached,
     _coset_data,
     center,
+    commutator,
     derived_subgroup,
     subgroup_generated,
 )
@@ -59,9 +60,8 @@ def _walk_edges(G: FiniteGroup, gens) -> list[tuple[int, int]]:
     """The edges of the walk over a derived subgroup as pairs (a, b), each
     sending x to a·x·b: right multiplication by [s, s'] for every two of the
     elements ``gens`` (a = 1), then conjugation by each s (a = s^-1, b = s)."""
-    rows = G.multiplication_table()
     pairs = [(s, s2) for i, s in enumerate(gens) for s2 in gens[i + 1:]]
-    comms = [(G.identity_index, rows[rows[G.inv(s)][G.inv(s2)]][rows[s][s2]]) for s, s2 in pairs]
+    comms = [(G.identity_index, commutator(G, s, s2)) for s, s2 in pairs]
     return comms + [(G.inv(s), s) for s in gens]
 
 

@@ -122,35 +122,3 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
     )
     return GallagherResult(k_g <= k_q * k_n, equality, k_g, k_q, k_n)
 
-
-BOUND_SATISFIED = "satisfied"
-BOUND_VACUOUS = "vacuous"
-BOUND_VIOLATED = "violated"
-
-
-class DerivedBoundReport(NamedTuple):
-    d: Fraction
-    derived_order: int
-    odd: bool
-    small_bound: str  # d > 5/16  implies |G'| < 12
-    odd_bound: str  # odd and d > 35/243  implies |G'| < 27
-
-
-def derived_order_bound_witness(G: FiniteGroup) -> DerivedBoundReport:
-    """Evaluate the two commutator-order bounds on a concrete group."""
-    d = commuting_probability(G)
-    dn = derived_subgroup(G).order
-    odd = G.order % 2 == 1
-
-    def status(applicable: bool, ok: bool) -> str:
-        if not applicable:
-            return BOUND_VACUOUS
-        return BOUND_SATISFIED if ok else BOUND_VIOLATED
-
-    return DerivedBoundReport(
-        d=d,
-        derived_order=dn,
-        odd=odd,
-        small_bound=status(d > Fraction(5, 16), dn < 12),
-        odd_bound=status(odd and d > Fraction(35, 243), dn < 27),
-    )

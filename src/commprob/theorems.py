@@ -10,6 +10,7 @@ counterexample.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -17,13 +18,10 @@ from .perm import FiniteGroup, element_order
 from .constructors import named
 from .isoclinism import are_isoclinic, is_stem
 from .probability import (
-    BOUND_SATISFIED,
-    BOUND_VACUOUS,
     average_class_size,
     check_character_bound,
     class_count,
     commuting_probability,
-    derived_order_bound_witness,
     gallagher_check,
 )
 from .structure import (
@@ -59,8 +57,17 @@ class Verdict(NamedTuple):
     precondition_ok: bool = True
     note: str = ""
 
+    @property
+    def state(self) -> str:
+        """SKIP (hypotheses unmet), VACUOUS (not applicable), HOLDS or FAIL."""
+        if not self.precondition_ok:
+            return "SKIP"
+        if not self.applicable:
+            return "VACUOUS"
+        return "HOLDS" if self.holds else "FAIL"
+
     def is_failure(self) -> bool:
-        return self.precondition_ok and self.applicable and not self.holds
+        return self.state == "FAIL"
 
     def to_dict(self) -> dict:
         """The fields in declaration order."""
@@ -127,34 +134,35 @@ def _normal_descriptor(G: FiniteGroup, N: Subgroup) -> str:
 # -- threshold verifiers -------------------------------------------------------
 
 
+def _supersolvable_or_isoclinic(
+    G: FiniteGroup, stmt: str, applies: bool, branches: tuple[tuple[str, bool], ...]
+) -> Verdict:
+    """The verdict on ``stmt``, not applicable unless ``applies``: G is
+    supersolvable, or for some branch (key, central) G (G/Z(G) if central)
+    is isoclinic to the catalog group key.  The note names the first that
+    holds, the branches tried in order."""
+    if not applies:
+        return Verdict(stmt, False, True, note="not applicable")
+    if is_supersolvable(G):
+        return Verdict(stmt, True, True, note="supersolvable")
+    for key, central in branches:
+        if are_isoclinic(G, _reference(key), center(G) if central else None):
+            note = ("central quotient " if central else "") + f"isoclinic to {key}"
+            return Verdict(stmt, True, True, note=note)
+    return Verdict(stmt, True, False, note="no branch holds")
+
+
 def verify_supersolvable_5_16(G: FiniteGroup) -> Verdict:
     """d(G) > 5/16 forces: supersolvable, or isoclinic to A4, or central
     quotient isoclinic to A4."""
-    d = commuting_probability(G)
-    applicable = d > Fraction(5, 16)
-    if not applicable:
-        return Verdict("d>5/16", False, True, note="not applicable")
-    a4 = _reference("A4")
-    if is_supersolvable(G):
-        return Verdict("d>5/16", True, True, note="supersolvable")
-    if are_isoclinic(G, a4):
-        return Verdict("d>5/16", True, True, note="isoclinic to A4")
-    if are_isoclinic(G, a4, center(G)):
-        return Verdict("d>5/16", True, True, note="central quotient isoclinic to A4")
-    return Verdict("d>5/16", True, False, note="no branch holds")
+    applies = commuting_probability(G) > Fraction(5, 16)
+    return _supersolvable_or_isoclinic(G, "d>5/16", applies, (("A4", False), ("A4", True)))
 
 
 def verify_supersolvable_1_3(G: FiniteGroup) -> Verdict:
     """d(G) >= 1/3 forces: supersolvable or isoclinic to A4."""
-    d = commuting_probability(G)
-    applicable = d >= Fraction(1, 3)
-    if not applicable:
-        return Verdict("d>=1/3", False, True, note="not applicable")
-    if is_supersolvable(G):
-        return Verdict("d>=1/3", True, True, note="supersolvable")
-    if are_isoclinic(G, _reference("A4")):
-        return Verdict("d>=1/3", True, True, note="isoclinic to A4")
-    return Verdict("d>=1/3", True, False, note="no branch holds")
+    applies = commuting_probability(G) >= Fraction(1, 3)
+    return _supersolvable_or_isoclinic(G, "d>=1/3", applies, (("A4", False),))
 
 
 def verify_odd_35_243(G: FiniteGroup) -> Verdict:
@@ -162,14 +170,8 @@ def verify_odd_35_243(G: FiniteGroup) -> Verdict:
     (C5xC5):C3."""
     if G.order % 2 == 0:
         return Verdict("odd,d>35/243", False, True, note="not applicable: even order")
-    d = commuting_probability(G)
-    if not d > Fraction(35, 243):
-        return Verdict("odd,d>35/243", False, True, note="not applicable")
-    if is_supersolvable(G):
-        return Verdict("odd,d>35/243", True, True, note="supersolvable")
-    if are_isoclinic(G, _reference("(C5xC5):C3")):
-        return Verdict("odd,d>35/243", True, True, note="isoclinic to (C5xC5):C3")
-    return Verdict("odd,d>35/243", True, False, note="no branch holds")
+    applies = commuting_probability(G) > Fraction(35, 243)
+    return _supersolvable_or_isoclinic(G, "odd,d>35/243", applies, (("(C5xC5):C3", False),))
 
 
 def _is_klein(G: FiniteGroup, N: Subgroup) -> bool:
@@ -302,23 +304,15 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
             note="" if odd else "not applicable: even order",
         )
     )
-    bounds = derived_order_bound_witness(G)
-    verdicts.append(
-        Verdict(
-            "d>5/16=>|G'|<12",
-            bounds.small_bound != BOUND_VACUOUS,
-            bounds.small_bound in (BOUND_SATISFIED, BOUND_VACUOUS),
-            note=bounds.small_bound,
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "odd,d>35/243=>|G'|<27",
-            bounds.odd_bound != BOUND_VACUOUS,
-            bounds.odd_bound in (BOUND_SATISFIED, BOUND_VACUOUS),
-            note=bounds.odd_bound,
-        )
-    )
+    for stmt, applies, bound in (
+        ("d>5/16=>|G'|<12", d > Fraction(5, 16), 12),
+        ("odd,d>35/243=>|G'|<27", odd and d > Fraction(35, 243), 27),
+    ):
+        if applies:
+            holds = derived.order < bound
+            verdicts.append(Verdict(stmt, True, holds, note="satisfied" if holds else "violated"))
+        else:
+            verdicts.append(Verdict(stmt, False, True, note="vacuous"))
     for N in normal_subgroups(G):
         ndesc = _normal_descriptor(G, N)
         res = gallagher_check(G, N)
@@ -349,28 +343,15 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
 
 
 def summarize(reports: list[GroupReport]) -> dict:
-    total = applicable = holds = vacuous = skips = failures = 0
-    for report in reports:
-        for v in report.theorem_verdicts:
-            total += 1
-            if not v.precondition_ok:
-                skips += 1
-            elif v.applicable:
-                applicable += 1
-                if v.holds:
-                    holds += 1
-                else:
-                    failures += 1
-            else:
-                vacuous += 1
+    states = Counter(v.state for report in reports for v in report.theorem_verdicts)
     return {
         "groups": len(reports),
-        "verdicts": total,
-        "applicable": applicable,
-        "holds": holds,
-        "vacuous": vacuous,
-        "precondition_skips": skips,
-        "failures": failures,
+        "verdicts": sum(states.values()),
+        "applicable": states["HOLDS"] + states["FAIL"],
+        "holds": states["HOLDS"],
+        "vacuous": states["VACUOUS"],
+        "precondition_skips": states["SKIP"],
+        "failures": states["FAIL"],
     }
 
 

@@ -14,6 +14,7 @@ from commprob.cli import (
     parse_group_file,
 )
 import commprob
+from commprob import theorems
 from commprob.constructors import ActionSpec, cyclic, semidirect_product
 from commprob.isoclinism import find_isoclinism
 from commprob.perm import Permutation, generate_group
@@ -25,6 +26,14 @@ A4_FILE = "4\n1 2 0 3\n1 0 3 2\n"
 # SHA-256 of `verify --all --format json` stdout; outputs are fixed, so any
 # change to this value is a regression, not an update
 VERIFY_ALL_SHA256 = "aea612bbe96f71fa48e646a27ca317b54ccbffa15140b33f52957ac558349665"
+
+# SHA-256 of `<argv> --format table` stdout, fixed as above: `verify --all`
+# prints a header per group and the summary, D8's `analyze` has HOLDS,
+# VACUOUS and SKIP verdict lines
+TABLE_SHA256 = {
+    ("verify", "--all"): "b84bd62efa08de45d8162ae6b3d0cdf89f019502edd5369a543d29014739f435",
+    ("analyze", "--name", "D8"): "318f965507bc4dea5c8075949c01b1bde7b16a26af591b9b00b393dad22d2de9",
+}
 
 # SHA-256 of `analyze <path> <args>` stdout for group files outside the
 # catalog, by the relative path read (the report's name is that path);
@@ -342,8 +351,9 @@ def test_isoclinic_without_first_group_exit_2(capsys):
         ["isoclinic", "a4.grp", "s3.grp", "--name2", "A4"],
         ["isoclinic", "a4.grp"],
         ["isoclinic", "--name", "A4"],
+        ["isoclinic"],
     ],
-    ids=["path2-and-name2", "one-path", "one-name"],
+    ids=["path2-and-name2", "one-path", "one-name", "none"],
 )
 def test_isoclinic_needs_exactly_one_second_group_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -603,6 +613,47 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert "d: 5/8" in out
     assert "HOLDS" in out
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_SHA256), ids=" ".join)
+def test_table_golden_output(argv, capsys):
+    assert main([*argv, "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_SHA256[argv]
+    if argv[0] == "analyze":
+        states = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        assert states == {"HOLDS", "VACUOUS", "SKIP"}
+
+
+@pytest.fixture
+def no_branch_holds(monkeypatch):
+    # no group is supersolvable and no two are isoclinic, so A4 (d = 1/3)
+    # fails both d>5/16 and d>=1/3
+    monkeypatch.setattr(theorems, "is_supersolvable", lambda G: False)
+    monkeypatch.setattr(theorems, "are_isoclinic", lambda G, H, K=None: False)
+
+
+def test_verify_failed_theorem_exit_1(no_branch_holds, capsys):
+    assert main(["verify", "--theorem", "5/16", "--name", "A4"]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["applicable"] and not verdict["holds"] and verdict["precondition_ok"]
+    assert verdict["note"] == "no branch holds"
+
+
+def test_verify_table_failures_exit_1(no_branch_holds, capsys):
+    assert main(["verify", "--name", "A4", "--format", "table"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "== A4 (order 12, d=1/3)",
+        "   FAIL d>5/16 no branch holds",
+        "   FAIL d>=1/3 no branch holds",
+        "summary: 1 groups, 19 verdicts, 13 applicable, 2 failures",
+    ]
+    reports, summary = theorems.run_catalog_verification(names=["A4"])
+    assert summary["failures"] == 2
+    assert [v.statement for v in reports[0].theorem_verdicts if v.is_failure()] == [
+        "d>5/16",
+        "d>=1/3",
+    ]
 
 
 # what the `commprob` console script runs

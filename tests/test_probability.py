@@ -11,7 +11,6 @@ from commprob.probability import (
     class_count,
     commuting_pairs_oracle,
     commuting_probability,
-    derived_order_bound_witness,
     gallagher_check,
 )
 from commprob.structure import (
@@ -21,6 +20,7 @@ from commprob.structure import (
     normal_subgroups,
     subgroup_generated,
 )
+from commprob.theorems import analyze
 
 from oracles import (
     oracle_commuting_pairs,
@@ -196,23 +196,31 @@ def test_abelian_and_nilpotent_thresholds(cat):
             assert is_nilpotent(G), name
 
 
+def _derived_bounds(G):
+    """analyze(G) with its two verdicts on |G'|: d > 5/16 implies |G'| < 12,
+    and odd order with d > 35/243 implies |G'| < 27."""
+    report = analyze(G)
+    by_statement = {v.statement: v for v in report.theorem_verdicts}
+    return report, by_statement["d>5/16=>|G'|<12"], by_statement["odd,d>35/243=>|G'|<27"]
+
+
 def test_derived_bound_witness_examples(cat):
-    a4 = derived_order_bound_witness(cat["A4"])
+    a4, small, _ = _derived_bounds(cat["A4"])
     assert a4.d == Fraction(1, 3) and a4.derived_order == 4
-    assert a4.small_bound == "satisfied"
-    s3 = derived_order_bound_witness(cat["S3"])
+    assert small.note == "satisfied" and small.applicable and small.holds
+    s3, small, _ = _derived_bounds(cat["S3"])
     assert s3.d == Fraction(1, 2) and s3.derived_order == 3
-    assert s3.small_bound == "satisfied"
-    a5 = derived_order_bound_witness(cat["A5"])
+    assert small.note == "satisfied" and small.applicable and small.holds
+    a5, small, _ = _derived_bounds(cat["A5"])
     assert a5.d == Fraction(1, 12)
-    assert a5.small_bound == "vacuous"
+    assert small.note == "vacuous" and not small.applicable and small.holds
 
 
 def test_derived_bound_never_violated(cat):
     for name, G in cat.items():
-        report = derived_order_bound_witness(G)
-        assert report.small_bound != "violated", name
-        assert report.odd_bound != "violated", name
+        _, small, odd = _derived_bounds(G)
+        assert small.note != "violated" and not small.is_failure(), name
+        assert odd.note != "violated" and not odd.is_failure(), name
 
 
 def test_fraction_invariants(cat):

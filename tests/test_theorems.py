@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commprob import theorems
 from commprob.constructors import named
 from commprob.perm import FiniteGroup, GroupError, Permutation, generate_group
 from commprob.structure import (
@@ -73,6 +74,35 @@ def test_5_16_s4_not_applicable(cat):
 def test_5_16_d8_supersolvable(cat):
     v = verify_supersolvable_5_16(cat["D8"])
     assert v.applicable and v.holds and v.note == "supersolvable"
+
+
+def test_5_16_central_quotient_branch(cat, monkeypatch):
+    # no catalog group reaches the third branch, so G/Z(G) alone is made
+    # isoclinic to A4
+    calls = []
+
+    def central_only(G, H, K=None):
+        calls.append(K)
+        return K is not None
+
+    monkeypatch.setattr(theorems, "is_supersolvable", lambda G: False)
+    monkeypatch.setattr(theorems, "are_isoclinic", central_only)
+    a4 = cat["A4"]
+    v = verify_supersolvable_5_16(a4)
+    assert v == Verdict("d>5/16", True, True, note="central quotient isoclinic to A4")
+    assert calls == [None, center(a4)]
+    assert verify_supersolvable_1_3(a4).note == "no branch holds"
+
+
+def test_derived_bound_violated_is_a_failure(cat, monkeypatch):
+    # the bound holds on every group; a derived subgroup of order |A4| = 12
+    # is made up to reach the violated state
+    a4 = cat["A4"]
+    whole = subgroup_generated(a4, a4.generating_indices())
+    monkeypatch.setattr(theorems, "derived_subgroup", lambda G: whole)
+    v = next(v for v in analyze(a4).theorem_verdicts if v.statement == "d>5/16=>|G'|<12")
+    assert v == Verdict("d>5/16=>|G'|<12", True, False, note="violated")
+    assert v.is_failure()
 
 
 def test_1_3_c2a4_via_isoclinism(cat):
@@ -234,6 +264,25 @@ def test_verdict_to_dict_is_asdict_in_field_order(cat):
         d = v.to_dict()
         assert list(d) == keys
         assert d == {k: getattr(v, k) for k in keys}
+
+
+def test_verdict_state_is_the_one_classification():
+    # precondition first, then applicability, then truth
+    cases = [
+        (Verdict("s", True, False, False), "SKIP"),
+        (Verdict("s", False, True, False), "SKIP"),
+        (Verdict("s", False, True), "VACUOUS"),
+        (Verdict("s", True, True), "HOLDS"),
+        (Verdict("s", True, False), "FAIL"),
+    ]
+    for v, state in cases:
+        assert v.state == state
+        assert v.is_failure() == (state == "FAIL")
+    report = analyze(named("C1"))._replace(theorem_verdicts=[v for v, _ in cases])
+    assert summarize([report]) == {
+        "groups": 1, "verdicts": 5, "applicable": 2, "holds": 1,
+        "vacuous": 1, "precondition_skips": 2, "failures": 1,
+    }
 
 
 def test_analyze_deterministic(cat):
