@@ -45,10 +45,10 @@ def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
         k_of, k_reps = _coset_data(G, K)
         if K.is_trivial():
             M = center(G)
-        else:  # gK and xK commute iff Kgx = Kxg
-            rows, gens = G.multiplication_table(), G.generating_indices()
+        else:  # gK and xK commute iff Kgx = Kxg, gx off column x, xg off row x
+            gens = [(G.row(x), G.column(x)) for x in G.generating_indices()]
             M = Subgroup(G, [g for g in range(G.order) if all(
-                k_of[rows[g][x]] == k_of[rows[x][g]] for x in gens)])
+                k_of[col[g]] == k_of[row[g]] for row, col in gens)])
         ids = sorted({k_of[d] for d in derived_subgroup(G).member_indices})
         number = {k: i for i, k in enumerate(ids)}
         return M, (tuple(number.get(k, -1) for k in k_of), tuple(k_reps[k] for k in ids))
@@ -56,13 +56,15 @@ def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
     return _cached(G, ("section", K.member_indices), compute)
 
 
-def _walk_edges(G: FiniteGroup, gens) -> list[tuple[int, int]]:
-    """The edges of the walk over a derived subgroup as pairs (a, b), each
-    sending x to a·x·b: right multiplication by [s, s'] for every two of the
-    elements ``gens`` (a = 1), then conjugation by each s (a = s^-1, b = s)."""
+def _walk_edges(G: FiniteGroup, gens) -> list[tuple]:
+    """The edges of the walk over a derived subgroup as pairs (row a, column
+    b), each sending x to a·x·b: right multiplication by [s, s'] for every
+    two of the elements ``gens`` (a = 1), then conjugation by each s (a =
+    s^-1, b = s)."""
     pairs = [(s, s2) for i, s in enumerate(gens) for s2 in gens[i + 1:]]
-    comms = [(G.identity_index, commutator(G, s, s2)) for s, s2 in pairs]
-    return comms + [(G.inv(s), s) for s in gens]
+    edges = [(G.identity_index, commutator(G, s, s2)) for s, s2 in pairs]
+    edges += [(G.inv(s), s) for s in gens]
+    return [(G.row(a), G.column(b)) for a, b in edges]
 
 
 def is_stem(G: FiniteGroup) -> bool:
@@ -93,14 +95,13 @@ def find_isoclinism(
         return None
     gens = G.generating_indices()
     of_m, reps_n = _coset_data(G, mg)[0], _coset_data(H, mh)[1]
-    rows, rows_h = G.multiplication_table(), H.multiplication_table()
     edges = _walk_edges(G, gens)
-    steps = [[of_a[rows[rows[a][r]][b]] for a, b in edges] for r in reps_a]
+    steps = [[of_a[col_b[row_a[r]]] for row_a, col_b in edges] for r in reps_a]
     for phi in iter_isomorphisms(G, H, mg, mh):
         edges_h = _walk_edges(H, [reps_n[phi[of_m[s]]] for s in gens])
         psi, clash = _extend_map(
             steps, 0, range(len(edges_h)), edges_h,
-            lambda y, ab: of_b[rows_h[rows_h[ab[0]][reps_b[y]]][ab[1]]], 0,
+            lambda y, ab: of_b[ab[1][ab[0][reps_b[y]]]], 0,
         )
         if clash is None and -1 not in psi and len(set(psi)) == len(psi):
             return IsoclinismWitness(tuple(phi), tuple(psi))

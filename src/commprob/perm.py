@@ -2,10 +2,11 @@
 
 Elements are permutations of {0, ..., degree-1} in one-line image form.
 Composition reads left to right: ``p * q`` applies ``p`` first, then ``q``.
-A :class:`FiniteGroup` is a Cayley table over element indices in
+A :class:`FiniteGroup` is a Cayley graph over element indices in
 canonical order (image tuples sorted lexicographically, which for a group
-given by rows is index order), so element indices are deterministic across
-runs and can be used as stable element names everywhere else.
+given by rows is index order), its table's rows and columns built on
+demand; element indices are deterministic across runs and can be used as
+stable element names everywhere else.
 """
 
 from __future__ import annotations
@@ -79,40 +80,56 @@ class Permutation:
 
 
 class FiniteGroup:
-    """A finite group as rows, generators and a memo.
+    """A finite group as its Cayley graph, rows and columns built on demand,
+    and a memo.
 
-    The rows are its Cayley table, one 16-bit ``array('H')`` per element:
-    ``rows[i][j]`` is the index of i times j (apply i first, then j), and
-    index 0 is the identity.  That takes 2 * |G|^2 bytes, about 1 MB for S6
-    and 50 MB at the default order cap of 5000; orders above
-    :data:`MAX_GROUP_ORDER` do not fit 16-bit indices and are refused.
+    Row i is ``row(i)[x] == mul(i, x)`` and column g is ``column(g)[x] ==
+    mul(x, g)`` (apply the left factor first), each a 16-bit ``array('H')``;
+    index 0 is the identity.  What the group keeps is its Cayley graph: the
+    identity's row and the generators' rows, handed over by its constructor,
+    and, from the first product asked for (:func:`_cayley_graph`), the
+    generators' columns, the rows and columns of their inverses, and every
+    element's inverse.  Any other row or column is built on first use and
+    memoized, by one C-level gather from a neighbour along a breadth-first
+    spanning tree of the graph, a Schreier vector (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1): row(k*s) is
+    row(k) at the entries of row(s), column(s*k) is column(k) at the entries
+    of column(s), for s a generator or its inverse.  Callers that read x*g
+    for one g over many x take column g.  The whole table
+    (:meth:`multiplication_table`, 2 * |G|^2 bytes) is built only for callers
+    that read every row.  Orders above :data:`MAX_GROUP_ORDER` do not fit
+    16-bit indices and are refused.
 
     ``FiniteGroup(...)`` is not public; every group is built one way, by
-    handing :meth:`_over_table` the identity's and the generators' rows, and
-    the table and inverses come on first use (:meth:`multiplication_table`).
+    handing :meth:`_over_table` the identity's and the generators' rows.
     :func:`generate_group` keeps the sorted permutations it closed as
     :attr:`elements`; in the constructors' cyclic, quaternion and semidirect
     groups, given by rows alone, element i is the right regular permutation
-    ``a -> a * i`` of degree |G|, column i of the table (:meth:`element`).
+    ``a -> a * i`` of degree |G|, column i (:meth:`element`).
 
     Immutable after construction and safe to share read-only across threads:
-    two threads that both use it first may each fill a copy of the rows, but
-    they publish identical tables.  Invariants are memoized the same way.
+    two threads that build a row, a column, the graph or the table at once
+    each build their own and publish equal ones, never a part of one.
+    Invariants are memoized the same way.
     """
 
     __slots__ = (
-        "degree", "identity_index", "_elements", "_index", "_gens", "_rows", "_table", "_cache",
+        "degree", "identity_index", "_elements", "_index", "_gens",
+        "_rows", "_cols", "_graph", "_table", "_cache",
     )
 
     @classmethod
     def _over_table(cls, rows: Sequence, gens: Sequence[int], elements=None) -> "FiniteGroup":
-        """The group over ``rows`` uncopied and unchecked: row 0 the
-        identity's, the rows of ``gens`` filled, None where a row comes on
-        first use.  ``elements`` are the permutations the indices name; by
-        default the right regular ones of degree |G|."""
+        """The group over ``rows``, unchecked: row 0 the identity's, the rows
+        of ``gens`` filled, None where a row comes on first use (the rows are
+        kept, the sequence copied); ``gens`` generate the group.  ``elements``
+        are the permutations the indices name; by default the right regular
+        ones of degree |G|."""
         group = cls.__new__(cls)
         group.identity_index, group._index, group._gens = 0, None, tuple(gens)
-        group._elements, group._rows, group._table, group._cache = elements, rows, None, {}
+        group._elements, group._graph, group._table, group._cache = elements, None, None, {}
+        group._rows = list(rows)
+        group._cols = [group._rows[0]] + [None] * (len(rows) - 1)  # column 0 is row 0
         group.degree = len(rows) if elements is None else elements[0].degree
         return group
 
@@ -130,10 +147,10 @@ class FiniteGroup:
 
     def element(self, i: int) -> Permutation:
         """The permutation index i names, building no other: the closure's,
-        or column i of the table, ``a -> a * i``, for a group given by rows."""
+        or column i, ``a -> a * i``, for a group given by rows."""
         if self._elements is not None:
             return self._elements[i]
-        return Permutation(map(itemgetter(i), self.multiplication_table()))
+        return Permutation(self.column(i))
 
     def index_of(self, p: Permutation) -> int:
         if self._index is None:
@@ -148,35 +165,148 @@ class FiniteGroup:
 
     # -- index arithmetic ------------------------------------------------
 
+    def row(self, i: int) -> array:
+        """Row i, ``row(i)[x] == mul(i, x)``, built on first use."""
+        row = self._rows[i]
+        if row is None:
+            row = _gathered(self._rows, self._cols, i, self._cayley(), 1)
+        return row
+
+    def column(self, g: int) -> array:
+        """Column g, ``column(g)[x] == mul(x, g)``, built on first use."""
+        col = self._cols[g]
+        if col is None:
+            col = _gathered(self._cols, self._rows, g, self._cayley(), 2)
+        return col
+
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j] (apply i first, then j)."""
-        return (self._table or self.multiplication_table())[i][j]
+        """Index of elements[i] * elements[j] (apply i first, then j): read
+        off row i or column j if either is built, else walked cell by cell up
+        i's branch of the row tree, (k*s)*j = k*(s*j), building nothing."""
+        rows, cols = self._rows, self._cols
+        if rows[i] is None and cols[j] is None:
+            (parent, via), _, step_rows = self._cayley()[1]
+            while rows[i] is None and cols[j] is None:
+                i, j = parent[i], step_rows[via[i]][j]
+        row = rows[i]
+        return row[j] if row is not None else cols[j][i]
 
     def inv(self, i: int) -> int:
-        if self._table is None:
-            self.multiplication_table()
-        return self._cache["inv"][i]
+        return self._cayley()[0][i]
 
     def conjugate(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
-        return self.mul(self.mul(self.inv(g), x), g)
+        return self.column(g)[self.row(self.inv(g))[x]]
 
     def multiplication_table(self) -> tuple[array, ...]:
-        """The Cayley table, ``table[i][j] == mul(i, j)``.  On the first call
-        a copy of the given rows is filled by right multiplication
-        (:func:`_fill_rows`) and published with the inverses read off it
-        (:func:`_inverses`), never half-filled."""
+        """The Cayley table, ``table[i][j] == mul(i, j)``: on the first call
+        a copy of the rows built so far is completed by right multiplication
+        (:func:`_fill_rows`) and published whole."""
         if self._table is None:
             rows = list(self._rows)
             _fill_rows(rows, self._gens, 0)
-            self._cache["inv"] = _inverses(rows, self._gens, 0)
-            self._table = tuple(rows)
+            self._table, self._rows = tuple(rows), rows
         return self._table
 
     def generating_indices(self) -> tuple[int, ...]:
         """The generators the group was built from, deterministic for a
         given group: the closure's, repeats dropped, or the constructor's."""
         return self._gens
+
+    def _cayley(self) -> tuple:
+        """The graph, completed on first use (:func:`_cayley_graph`)."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = _cayley_graph(self._rows, self._cols, self._gens)
+        return graph
+
+
+def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> tuple:
+    """Complete a group's Cayley graph from the identity's (index 0) and the
+    generators' rows, over the steps s: the generators and their inverses,
+    whose rows are the inverse permutations of the generators'.  One
+    breadth-first walk from the identity along k -> t*k for the steps t
+    spans the graph by a tree; each step's column is filled along it as
+    (t*k)*s = t*(k*s), and then the inverses as (t*k)^-1 = k^-1*t^-1, so the
+    closure records rows alone.  Rows and columns are written into ``rows``
+    and ``cols``.  Every edge is then checked at once, (x*s)^-1 == s^-1*x^-1
+    for all x and s: two words for one element with different inverses
+    refute associativity.
+
+    Returns ``(inverses, row tree, column tree, pack, at_inverses)``.  The
+    column tree, ``((parent, via), gathers)``, builds column(s*k) from
+    column(k) along k -> s*k; the row tree is the same tree seen through
+    inversion (x = k*s where x^-1 = s^-1*k^-1), builds row(k*s) from row(k)
+    and also keeps the steps' rows, for :meth:`FiniteGroup.mul`."""
+    n = len(rows)
+    inverse_of: dict[int, int] = {}  # step -> its inverse, in order of the generators
+    for g in dict.fromkeys(gens):
+        if g != 0:
+            row_inv = [0] * n
+            for z, y in enumerate(rows[g]):
+                row_inv[y] = z
+            inverse_of[g], inverse_of[row_inv[0]] = row_inv[0], g  # g * row_inv[0] == 0
+            if rows[row_inv[0]] is None:
+                rows[row_inv[0]] = array("H", row_inv)
+    steps = list(inverse_of)
+    step_rows = [rows[s] for s in steps]
+    parent, via, walk = [-1] * n, [0] * n, [0]
+    parent[0] = 0
+    step_cols = [[s] * n for s in steps]
+    for k in walk:  # also visits what the loop appends
+        for i, row in enumerate(step_rows):
+            x = row[k]  # x = t*k for the step t
+            if parent[x] < 0:
+                parent[x], via[x] = k, i
+                walk.append(x)
+                for col in step_cols:  # (t*k)*s = t*(k*s)
+                    col[x] = row[col[k]]
+    inverse_step = [steps.index(inverse_of[s]) for s in steps]
+    step_cols_inv, inverses = [step_cols[i] for i in inverse_step], [0] * n
+    for x in walk[1:]:
+        inverses[x] = step_cols_inv[via[x]][inverses[parent[x]]]
+    at_inverses = itemgetter(*inverses)
+    for s, col, i in zip(steps, step_cols, inverse_step):
+        if itemgetter(*col)(inverses) != at_inverses(step_rows[i]):
+            raise GroupError("not a group table: inverses disagree along two words")
+        cols[s] = array("H", col)
+    row_parent = list(map(inverses.__getitem__, map(parent.__getitem__, inverses)))
+    at_step = (inverse_step or [0]).__getitem__  # C1 has no steps, and via[0] is unread
+    row_via = list(map(at_step, map(via.__getitem__, inverses)))
+    return (
+        tuple(inverses),
+        ((row_parent, row_via), [itemgetter(*row) for row in step_rows], step_rows),
+        ((parent, via), [itemgetter(*cols[s]) for s in steps]),
+        Struct(f"{n}H").pack,  # native 16-bit, as array("H") stores
+        at_inverses,
+    )
+
+
+def _gathered(memo: list, dual: list, i: int, graph: tuple, tree: int) -> array:
+    """``memo[i]``, where ``memo`` holds the rows built so far and ``dual``
+    the columns (``tree`` 1, the row tree of ``graph``) or the other way round
+    (``tree`` 2): from i's nearest built ancestor in the tree by one gather
+    per step down, each step memoized, unless that takes two steps or more
+    and ``dual[i^-1]`` is built, which gives it by two gathers as x*y =
+    (y^-1*x^-1)^-1 and y*x = (x^-1*y^-1)^-1.  The steps pass tuples, which
+    gather about twice as fast as arrays; each is packed to bytes by one
+    ``Struct``, several times cheaper than ``array`` converting a tuple."""
+    inverses, pack, at_inverses = graph[0], graph[3], graph[4]
+    (parent, via), takes = graph[tree][:2]
+    path = [i]
+    x = parent[i]
+    while memo[x] is None:
+        path.append(x)
+        x = parent[x]
+    other = dual[inverses[i]]
+    if len(path) > 1 and other is not None:
+        memo[i] = array("H", pack(*at_inverses(itemgetter(*other)(inverses))))
+        return memo[i]
+    cells = memo[x]
+    for x in reversed(path):
+        cells = takes[via[x]](cells)
+        memo[x] = array("H", pack(*cells))
+    return memo[i]
 
 
 def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
@@ -258,17 +388,6 @@ def _generator_maps(
     return search([])
 
 
-def _inverses(rows: Sequence[array], gens: Sequence[int], e: int) -> tuple[int, ...]:
-    """Inverses by one walk from the identity ``e`` over the generators, as
-    (x g)^-1 = g^-1 x^-1; elements the generators do not reach get -1.  Two
-    words for one element with different inverses refute associativity."""
-    rows_g_inv = [rows[rows[g].index(e)] for g in gens]
-    invs, clash = _extend_map(rows, e, gens, rows_g_inv, lambda inv_x, row: row[inv_x], e)
-    if clash is not None:
-        raise GroupError("not a group table: inverses disagree along two words")
-    return tuple(invs)
-
-
 def generate_group(
     degree: int,
     generators: Sequence[Permutation],
@@ -281,12 +400,13 @@ def generate_group(
     unchecked, since products of bijections are bijections.  The walk meets
     g * p for every generator g and every element p, so it records each
     generator's row of the Cayley table as it goes.  The image tuples are
-    sorted once into canonical order (the identity first), those rows are
-    relabelled to it, and the rest of the table is filled on first use.
+    sorted once into canonical order (the identity first), and those rows
+    are relabelled to it; every other row and column comes on first use.
 
-    Raises :class:`OrderCapExceeded` (naming the cap) as soon as the closure
-    grows past ``max_order`` or :data:`MAX_GROUP_ORDER` elements, and
-    :class:`GroupError` on degree mismatch.
+    Raises :class:`OrderCapExceeded` (naming the cap) when the group is
+    larger than ``max_order`` or :data:`MAX_GROUP_ORDER`: before any element
+    is built if :func:`_order_divisor` exceeds the cap, else as soon as the
+    closure grows past it.  Raises :class:`GroupError` on degree mismatch.
     """
     if degree < 1:
         raise GroupError("degree must be a positive integer")
@@ -297,6 +417,8 @@ def generate_group(
             )
     cap = min(max_order, MAX_GROUP_ORDER)
     gens = [g.images for g in dict.fromkeys(generators)]
+    if _order_divisor(degree, gens) > cap:
+        raise OrderCapExceeded(f"group closure exceeded the order cap of {cap}")
     walk = [tuple(range(degree))]
     pos = {walk[0]: 0}
     cols: list[list[int]] = [[] for _ in gens]  # cols[i][k]: position of gens[i] * walk[k]
@@ -323,20 +445,37 @@ def generate_group(
     return FiniteGroup._over_table(rows, [rank[pos[g]] for g in gens], elements=elements)
 
 
+def _order_divisor(degree: int, gens: Sequence[tuple[int, ...]]) -> int:
+    """A divisor of the order of the group the image tuples generate, found
+    without building it: the lcm of its orbit lengths on the points (each an
+    index of a point stabilizer) and of the generators' orders (each the lcm
+    of its cycle lengths, the orbit lengths of the generator alone)."""
+    return math.lcm(*_orbit_lengths(degree, gens), *(
+        n for g in gens for n in _orbit_lengths(degree, [g])))
+
+
+def _orbit_lengths(degree: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
+    """The length of each orbit of the image tuples on the points."""
+    seen = bytearray(degree)
+    for start in range(degree):
+        if not seen[start]:
+            seen[start] = 1
+            orbit = [start]
+            for p in orbit:  # also visits what the loop appends
+                for g in gens:
+                    q = g[p]
+                    if not seen[q]:
+                        seen[q] = 1
+                        orbit.append(q)
+            yield len(orbit)
+
+
 def element_order(G: FiniteGroup, x: int) -> int:
-    """Least m >= 1 with x^m equal to the identity."""
+    """Least m >= 1 with x^m equal to the identity: x's powers, walked along
+    column x."""
     if not 0 <= x < G.order:
         raise IndexError(f"element index {x} out of range for group of order {G.order}")
-    orders = G._cache.get("orders")
-    if orders is None:  # one walk per cyclic subgroup: ord(y^k) = o / gcd(k, o)
-        rows, orders = G.multiplication_table(), [0] * G.order
-        for y in range(G.order):
-            if not orders[y]:
-                powers = [y]
-                while powers[-1] != G.identity_index:
-                    powers.append(rows[powers[-1]][y])
-                o = len(powers)
-                for k, z in enumerate(powers, 1):
-                    orders[z] = o // math.gcd(k, o)
-        G._cache["orders"] = orders = tuple(orders)
-    return orders[x]
+    col, y, m = G.column(x), x, 1
+    while y != G.identity_index:
+        y, m = col[y], m + 1
+    return m

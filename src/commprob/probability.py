@@ -14,6 +14,7 @@ from .perm import FiniteGroup, GroupError
 from .structure import (
     Subgroup,
     _cached,
+    _commuting,
     _quotient_classes,
     conjugacy_classes,
     derived_subgroup,
@@ -82,24 +83,26 @@ class GallagherResult(NamedTuple):
 
 def _centralizer_masks(G: FiniteGroup) -> list[tuple[int, int]]:
     """One (g, C_G(g)) pair per class of G, g its representative and C_G(g)
-    an int with bit x set for each x commuting with g; memoized on G."""
+    an int with bit x set for each x commuting with g: all of G for a
+    central g (a class of size 1), else read off row g against column g by
+    C-level passes; memoized on G."""
 
     def compute():
-        rows, n = G.multiplication_table(), G.order
+        whole = (1 << G.order) - 1
         return [
-            (g, _bits(x for x in range(n) if rows[g][x] == rows[x][g]))
-            for g in (c.representative for c in conjugacy_classes(G))
+            (c.representative, whole if c.size == 1 else _mask(_commuting(G, c.representative)))
+            for c in conjugacy_classes(G)
         ]
 
     return _cached(G, "centralizer_masks", compute)
 
 
-def _bits(indices) -> int:
-    """The int with exactly the bits at ``indices`` set."""
-    mask = 0
-    for x in indices:
-        mask |= 1 << x
-    return mask
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: bytes) -> int:
+    """The int with bit x set where ``flags[x]`` is 1 (each flag 0 or 1)."""
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
 def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
@@ -115,7 +118,7 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
         raise GroupError("gallagher_check requires a normal subgroup")
     classes, images = conjugacy_classes(G), _quotient_classes(G, N)
     k_g, k_q, k_n = len(classes), len(set(images)), subgroup_class_count(G, N)
-    n_mask = _bits(N.member_indices)
+    n_mask = _mask(bytes(map(frozenset(N.member_indices).__contains__, range(G.order))))
     equality = all(
         N.order * len(image) == c.size * (c_mask & n_mask).bit_count()
         for c, image, (_, c_mask) in zip(classes, images, _centralizer_masks(G))

@@ -8,6 +8,8 @@ classifiers.  Everything operates on element indices of an immutable
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .perm import FiniteGroup, GroupError, _generator_maps
@@ -93,21 +95,22 @@ def _check_index(G: FiniteGroup, x: int) -> None:
 def _closure(G: FiniteGroup, seeds: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Members (ascending) and greedy generators of the subgroup generated by
     the seeds, in order; a seed inside the closure so far is skipped.  Old
-    members are multiplied by a new generator, new members by every one."""
-    rows = G.multiplication_table()
+    members are multiplied by a new generator, new members by every one,
+    each product read off the generator's column."""
     members = [G.identity_index]
     seen = set(members)
     gens: list[int] = []
+    cols = []
     for s in seeds:
         if s in seen:
             continue
         gens.append(s)
-        new = [rows[x][s] for x in members]
+        cols.append(col_s := G.column(s))
+        new = [col_s[x] for x in members]
         seen.update(new)
         for x in new:  # also visits what the loop appends
-            row_x = rows[x]
-            for g in gens:
-                y = row_x[g]
+            for col in cols:
+                y = col[x]
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -133,24 +136,27 @@ def subgroup_gens(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
 # -- centers and classes -----------------------------------------------------
 
 
+def _commuting(G: FiniteGroup, g: int) -> bytes:
+    """Whether x commutes with g, as 1 or 0 at each x: row g against column
+    g, in one C-level pass."""
+    return bytes(map(eq, G.row(g), G.column(g)))
+
+
 def center(G: FiniteGroup) -> Subgroup:
     """Elements commuting with everything (it suffices to test generators)."""
 
     def compute():
-        gens = G.generating_indices()
-        members = [
-            x
-            for x in range(G.order)
-            if all(G.mul(x, g) == G.mul(g, x) for g in gens)
-        ]
+        flags = [_commuting(G, g) for g in G.generating_indices()]
+        members = compress(range(G.order), map(all, zip(*flags))) if flags else range(G.order)
         return Subgroup(G, members)
 
     return _cached(G, "center", compute)
 
 
 def _commute(G: FiniteGroup, gens: Sequence[int]) -> bool:
-    rows = G.multiplication_table()
-    return all(rows[a][b] == rows[b][a] for a in gens for b in gens)
+    """Whether the elements commute, ab = ba read off columns b and a."""
+    cols = list(zip(gens, map(G.column, gens)))
+    return all(col_b[a] == col_a[b] for a, col_a in cols for b, col_b in cols)
 
 
 def is_abelian(G: FiniteGroup) -> bool:
@@ -164,10 +170,10 @@ def subgroup_is_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 def _orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -> list[list[int]]:
     """The orbits of the elements of ``domain`` under conjugation by the
-    conjugators, read off G's table rows; each starts with the first of its
-    members in ``domain``, and they come in the order of those members."""
-    rows = G.multiplication_table()
-    steps = [(rows[G.inv(g)], g) for g in conjugators]
+    conjugators, x -> g^-1 x g read off row g^-1 and column g; each starts
+    with the first of its members in ``domain``, and they come in the order
+    of those members."""
+    steps = [(G.row(G.inv(g)), G.column(g)) for g in conjugators]
     seen = bytearray(G.order)
     orbits = []
     for i in domain:
@@ -176,8 +182,8 @@ def _orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -
         seen[i] = 1
         orbit = [i]
         for x in orbit:  # also visits what the loop appends
-            for row_g_inv, g in steps:
-                y = rows[row_g_inv[x]][g]
+            for row_g_inv, col_g in steps:
+                y = col_g[row_g_inv[x]]
                 if not seen[y]:
                     seen[y] = 1
                     orbit.append(y)
@@ -244,24 +250,25 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     of atoms (the subgroups generated by single conjugacy classes), and the
     join of normal A and B is the product set AB, so the atoms are closed
     under joining with one atom at a time.  AB is grown as a union of right
-    cosets A y, one for each y in B not yet covered: |AB| + |B| lookups.
+    cosets A y, one for each y in B not yet covered, read as in
+    :func:`_coset_data`.
     No standalone group is built per N: :func:`subgroup_gens`,
     :func:`subgroup_class_count` and :func:`subgroup_is_abelian` work in G's table."""
 
     def compute():
-        rows = G.multiplication_table()
         atoms = {(G.identity_index,)}
         atoms.update(_closure(G, c.members)[0] for c in conjugacy_classes(G))
         atoms = [b for b in atoms if len(b) < G.order]
         found = set(atoms) | {tuple(range(G.order))}
         walk = list(atoms)
         for a in walk:  # also visits what the loop appends
-            a_rows = [rows[x] for x in a]
+            rows = [G.row(x) for x in a] if len(a) ** 2 <= G.order else None
+            take = itemgetter(*a)
             for b in atoms:
                 covered = set(a)
                 for y in b:
                     if y not in covered:
-                        covered.update([row[y] for row in a_rows])
+                        covered.update(map(itemgetter(y), rows) if rows else take(G.column(y)))
                 if (joined := tuple(sorted(covered))) not in found:
                     found.add(joined)
                     if len(joined) < G.order:
@@ -276,18 +283,22 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Right-coset ids of the normal subgroup N, numbered in order of their
-    lowest members, and those members: G/N read in G's own table, by one
-    walk over it, memoized per N.  Raises :class:`NotNormal` otherwise."""
+    lowest members, and those members: G/N read in G's own table, memoized
+    per N.  A coset N i is read off N's rows when N is small (|N|^2 <= |G|),
+    else off column i, so that at most about sqrt(|G|) rows are built, or
+    one column per coset.  Raises :class:`NotNormal` otherwise."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
 
     def compute():
-        n_rows = [G.multiplication_table()[m] for m in N.member_indices]
-        coset_of, reps = [-1] * G.order, []
+        members, coset_of, reps = N.member_indices, [-1] * G.order, []
+        rows = [G.row(m) for m in members] if len(members) ** 2 <= G.order else None
+        take = itemgetter(*members)
         for i in range(G.order):
             if coset_of[i] < 0:
-                for row in n_rows:
-                    coset_of[row[i]] = len(reps)
+                k = len(reps)
+                for x in map(itemgetter(i), rows) if rows else take(G.column(i)):
+                    coset_of[x] = k
                 reps.append(i)
         return tuple(coset_of), tuple(reps)
 
@@ -424,13 +435,14 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
         raise GroupError("find_complement requires a nontrivial proper subgroup")
 
     def compute():
-        rows, (coset_of, reps) = G.multiplication_table(), _coset_data(G, N)
+        coset_of, reps = _coset_data(G, N)
         seeds = [*subgroup_gens(G, N), *G.generating_indices()]
         lifts = [g for g in _closure(G, seeds)[1] if g not in N]
+        cols = {g: G.column(g) for g in lifts}
         sections = _generator_maps(
-            [{g: coset_of[rows[r][g]] for g in lifts} for r in reps], 0, lifts,
-            [sorted(rows[m][g] for m in N.member_indices) for g in lifts],
-            lambda x, y: rows[x][y], G.identity_index,
+            [{g: coset_of[cols[g][r]] for g in lifts} for r in reps], 0, lifts,
+            [sorted([cols[g][m] for m in N.member_indices]) for g in lifts],
+            G.mul, G.identity_index,
         )
         return next((Subgroup(G, section) for section in sections), None)
 

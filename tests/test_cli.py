@@ -594,6 +594,29 @@ def test_analyze_golden_output(path, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+def test_analyze_s6_builds_no_table(tmp_path, monkeypatch, capsys):
+    # S6 read from a file: every statement is decided from rows and columns
+    # built on first use, fewer than 360 of the 2 * 720 in all, and never
+    # from the whole table
+    text, args, sha = ANALYZE_GOLDEN[".perfbench_work/s6.grp"]
+    for key in ("A4", "(C5xC5):C3"):
+        theorems._reference(key)  # built before the count, tables and all
+    groups, tables = [], []
+    monkeypatch.setattr(commprob.cli, "generate_group", lambda *a, **k: groups.append(
+        generate_group(*a, **k)) or groups[-1])
+    full = commprob.perm.FiniteGroup.multiplication_table
+    monkeypatch.setattr(commprob.perm.FiniteGroup, "multiplication_table",
+                        lambda G: tables.append(G.order) or full(G))
+    monkeypatch.chdir(tmp_path)
+    Path("s6.grp").write_text(text)
+    assert main(["analyze", "s6.grp", *args]) == 0
+    (G,) = groups
+    assert G.order == 720 and tables == []
+    built = sum(r is not None for r in G._rows) + sum(c is not None for c in G._cols)
+    assert built < 360
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("cap", ["0", "-5", "65537", "100000"])
 def test_max_order_outside_16_bit_range_exit_2(cap, capsys):
     assert main(["analyze", "--name", "A4", "--max-order", cap]) == 2

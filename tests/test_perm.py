@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 import time
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commprob.constructors import named
+from commprob.constructors import cyclic, named
 from commprob.perm import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -15,12 +16,13 @@ from commprob.perm import (
     OrderCapExceeded,
     Permutation,
     _fill_rows,
-    _inverses,
+    _order_divisor,
     element_order,
     generate_group,
 )
 
-from oracles import oracle_perm_order
+from oracles import oracle_perm_order, oracle_semidirect_table
+from strategies import generator_sets as shared_generator_sets
 
 THREE_CYCLE = Permutation([1, 2, 0])
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])]
@@ -173,8 +175,9 @@ def test_closure_checks_no_product(monkeypatch):
 
 def test_non_associative_table_refused():
     # a Latin square with identity 0 that is no group table (the product is
-    # not associative): the walk for inverses meets two words for one
-    # element with different inverses
+    # not associative), handed to the kernel with the rows of its generators
+    # alone or whole: on first use, two words for one element have different
+    # inverses
     rows = [
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -182,8 +185,12 @@ def test_non_associative_table_refused():
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ]
-    with pytest.raises(GroupError, match="inverses disagree"):
-        _inverses([array("H", r) for r in rows], (1, 2), 0)
+    for given in ({0, 1, 2}, set(range(5))):
+        G = FiniteGroup._over_table(
+            [array("H", r) if i in given else None for i, r in enumerate(rows)], (1, 2)
+        )
+        with pytest.raises(GroupError, match="inverses disagree"):
+            G.inv(0)
 
 
 @st.composite
@@ -255,12 +262,15 @@ def test_kernel_skips_identity_generators():
 
 
 def test_first_use_from_several_threads_sees_a_whole_table():
-    # threads racing to the first use each fill a copy of the generator rows;
-    # every one must read the whole table and its inverses, never a part,
-    # also when it arrives while another is still filling (staggered starts)
+    # threads racing to build the same rows and columns on first use (each in
+    # its own order), then the whole table: every thread must read whole,
+    # equal arrays and inverses, also when it arrives while another is still
+    # building (staggered starts)
     s5_gens = [Permutation([1, 2, 3, 4, 0]), Permutation([1, 0, 2, 3, 4])]
     reference = generate_group(5, s5_gens)
-    expected = ([reference.inv(i) for i in range(120)], reference.multiplication_table())
+    table = reference.multiplication_table()
+    columns = [array("H", [row[g] for row in table]) for g in range(120)]
+    expected = (list(table), columns, [reference.inv(i) for i in range(120)], table)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -268,12 +278,18 @@ def test_first_use_from_several_threads_sees_a_whole_table():
             G = generate_group(5, s5_gens)
             seen, start = [], threading.Barrier(8)
 
-            def use(delay):
+            def use(k):
+                order = random.Random(k).sample(range(G.order), G.order)
                 start.wait(timeout=30)
-                time.sleep(delay)
-                seen.append(([G.inv(i) for i in range(G.order)], G.multiplication_table()))
+                time.sleep(k / 2000)
+                rows = {i: G.row(i) for i in order}
+                cols = {g: G.column(g) for g in reversed(order)}
+                seen.append((
+                    [rows[i] for i in range(G.order)], [cols[g] for g in range(G.order)],
+                    [G.inv(i) for i in range(G.order)], G.multiplication_table(),
+                ))
 
-            threads = [threading.Thread(target=use, args=(k / 2000,)) for k in range(8)]
+            threads = [threading.Thread(target=use, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -282,6 +298,78 @@ def test_first_use_from_several_threads_sees_a_whole_table():
             assert seen == [expected] * 8
     finally:
         sys.setswitchinterval(interval)
+
+
+def _given_by_rows():
+    """Groups given by rows, each with the table its construction defines:
+    cyclic groups, Q8 (the right regular permutations of a fresh copy's
+    table, composed) and semidirect products (the oracle's formula)."""
+    groups = [(cyclic(n), [[(i + j) % n for j in range(n)] for i in range(n)]) for n in (1, 2, 6)]
+    q8 = named("Q8").multiplication_table()
+    regular = [Permutation([row[i] for row in q8]) for i in range(8)]
+    index = {p.images: i for i, p in enumerate(regular)}
+    groups.append((named("Q8"), [[index[(p * q).images] for q in regular] for p in regular]))
+    c7, c3 = cyclic(7), cyclic(3)
+    squaring = tuple(2 * r % 7 for r in range(7))
+    groups.append((named("C7:C3"), oracle_semidirect_table(c7, c3, {1: squaring})))
+    return groups
+
+
+@given(
+    st.one_of(shared_generator_sets(), st.integers(0, 4)),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=40),
+)
+@settings(deadline=None, max_examples=60)
+def test_lazy_rows_and_columns_match_the_oracle(spec, requests):
+    # rows and columns built on first use, in any order, are the products the
+    # oracle gives; the table taken after some of them equals a fresh one's
+    if isinstance(spec, int):
+        G, products = _given_by_rows()[spec]
+        fresh = _given_by_rows()[spec][0]
+    else:
+        degree, gens = spec
+        G, fresh = (generate_group(degree, [Permutation(g) for g in gens]) for _ in range(2))
+        els = G.elements
+        index = {p.images: i for i, p in enumerate(els)}
+        products = [[index[(p * q).images] for q in els] for p in els]
+    n = G.order
+    for is_row, k in requests:
+        x = k % n
+        if is_row:
+            assert G.row(x).tolist() == products[x]
+        else:
+            assert G.column(x).tolist() == [products[y][x] for y in range(n)]
+        assert products[x][G.inv(x)] == 0
+    assert G.multiplication_table() == fresh.multiplication_table()
+    assert [row.tolist() for row in G.multiplication_table()] == products
+
+
+@given(shared_generator_sets(), st.integers(1, 800))
+@settings(deadline=None, max_examples=60)
+def test_order_cap_refused_exactly_when_exceeded(spec, cap):
+    # the refusal before the closure (orbit lengths and generator orders) and
+    # the one during it together refuse exactly the groups above the cap
+    degree, gens = spec
+    perms = [Permutation(g) for g in gens]
+    order = generate_group(degree, perms).order
+    if order > cap:
+        with pytest.raises(OrderCapExceeded, match=f"order cap of {cap}$"):
+            generate_group(degree, perms, max_order=cap)
+    else:
+        assert generate_group(degree, perms, max_order=cap).order == order
+    assert order % _order_divisor(degree, gens) == 0
+
+
+def test_large_degree_refused_before_the_closure():
+    # S_10000's generators: the orbit of point 0 alone has 10000 points, so
+    # the closure is never started (it would hold 5000 tuples of 10000 points)
+    n = 10_000
+    cycle, swap = Permutation([*range(1, n), 0]), Permutation([1, 0, *range(2, n)])
+    assert _order_divisor(n, [cycle.images, swap.images]) >= n
+    started = time.perf_counter()
+    with pytest.raises(OrderCapExceeded, match="order cap of 5000$"):
+        generate_group(n, [cycle, swap])
+    assert time.perf_counter() - started < 0.5
 
 
 def test_kernel_fills_only_what_the_generators_reach():
