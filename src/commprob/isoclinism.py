@@ -56,15 +56,13 @@ def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
     return _cached(G, ("section", K.member_indices), compute)
 
 
-def _walk_edges(G: FiniteGroup, gens) -> list[tuple]:
-    """The edges of the walk over a derived subgroup as pairs (row a, column
-    b), each sending x to a·x·b: right multiplication by [s, s'] for every
-    two of the elements ``gens`` (a = 1), then conjugation by each s (a =
-    s^-1, b = s)."""
+def _walk_edges(G: FiniteGroup, gens) -> list[tuple[int, int]]:
+    """The edges of the walk over a derived subgroup as pairs (a, b), each
+    sending x to a·x·b: right multiplication by [s, s'] for every two of the
+    elements ``gens`` (a = 1), then conjugation by each s (a = s^-1, b = s)."""
     pairs = [(s, s2) for i, s in enumerate(gens) for s2 in gens[i + 1:]]
     edges = [(G.identity_index, commutator(G, s, s2)) for s, s2 in pairs]
-    edges += [(G.inv(s), s) for s in gens]
-    return [(G.row(a), G.column(b)) for a, b in edges]
+    return edges + [(G.inv(s), s) for s in gens]
 
 
 def is_stem(G: FiniteGroup) -> bool:
@@ -95,13 +93,14 @@ def find_isoclinism(
         return None
     gens = G.generating_indices()
     of_m, reps_n = _coset_data(G, mg)[0], _coset_data(H, mh)[1]
-    edges = _walk_edges(G, gens)
+    edges = [(G.row(a), G.column(b)) for a, b in _walk_edges(G, gens)]
     steps = [[of_a[col_b[row_a[r]]] for row_a, col_b in edges] for r in reps_a]
     for phi in iter_isomorphisms(G, H, mg, mh):
+        rows = H.multiplication_table()  # built by the search; H's steps read it
         edges_h = _walk_edges(H, [reps_n[phi[of_m[s]]] for s in gens])
         psi, clash = _extend_map(
             steps, 0, range(len(edges_h)), edges_h,
-            lambda y, ab: of_b[ab[1][ab[0][reps_b[y]]]], 0,
+            lambda y, ab: of_b[rows[rows[ab[0]][reps_b[y]]][ab[1]]], 0,
         )
         if clash is None and -1 not in psi and len(set(psi)) == len(psi):
             return IsoclinismWitness(tuple(phi), tuple(psi))

@@ -15,7 +15,7 @@ import math
 from array import array
 from operator import itemgetter
 from struct import Struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_ORDER_CAP = 5000
 MAX_GROUP_ORDER = 65536  # element indices are stored as 16-bit table entries
@@ -94,8 +94,10 @@ class FiniteGroup:
     spanning tree of the graph, a Schreier vector (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, section 4.1): row(k*s) is
     row(k) at the entries of row(s), column(s*k) is column(k) at the entries
-    of column(s), for s a generator or its inverse.  Callers that read x*g
-    for one g over many x take column g.  The whole table
+    of column(s), for s a generator or its inverse; or, when that takes two
+    steps or more, by two gathers from the column (row) of its inverse if
+    that is built (:func:`_gathered`).  Callers that read x*g for one g over
+    many x take column g.  The whole table
     (:meth:`multiplication_table`, 2 * |G|^2 bytes) is built only for callers
     that read every row.  Orders above :data:`MAX_GROUP_ORDER` do not fit
     16-bit indices and are refused.
@@ -169,30 +171,35 @@ class FiniteGroup:
         """Row i, ``row(i)[x] == mul(i, x)``, built on first use."""
         row = self._rows[i]
         if row is None:
-            row = _gathered(self._rows, self._cols, i, self._cayley(), 1)
+            graph = self._cayley()
+            row = _gathered(self._rows, self._cols, i, graph, graph.row_tree)
         return row
 
     def column(self, g: int) -> array:
         """Column g, ``column(g)[x] == mul(x, g)``, built on first use."""
         col = self._cols[g]
         if col is None:
-            col = _gathered(self._cols, self._rows, g, self._cayley(), 2)
+            graph = self._cayley()
+            col = _gathered(self._cols, self._rows, g, graph, graph.col_tree)
         return col
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (apply i first, then j): read
         off row i or column j if either is built, else walked cell by cell up
-        i's branch of the row tree, (k*s)*j = k*(s*j), building nothing."""
+        i's branch of the row tree, (k*s)*j = k*(s*j), building nothing:
+        searches that read a few cells of many columns, such as
+        :func:`~commprob.structure.find_complement`'s, keep no column."""
         rows, cols = self._rows, self._cols
         if rows[i] is None and cols[j] is None:
-            (parent, via), _, step_rows = self._cayley()[1]
+            graph = self._cayley()
+            (parent, via, _), step_rows = graph.row_tree, graph.step_rows
             while rows[i] is None and cols[j] is None:
                 i, j = parent[i], step_rows[via[i]][j]
         row = rows[i]
         return row[j] if row is not None else cols[j][i]
 
     def inv(self, i: int) -> int:
-        return self._cayley()[0][i]
+        return self._cayley().inverses[i]
 
     def conjugate(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
@@ -213,7 +220,7 @@ class FiniteGroup:
         given group: the closure's, repeats dropped, or the constructor's."""
         return self._gens
 
-    def _cayley(self) -> tuple:
+    def _cayley(self) -> _CayleyGraph:
         """The graph, completed on first use (:func:`_cayley_graph`)."""
         graph = self._graph
         if graph is None:
@@ -221,7 +228,30 @@ class FiniteGroup:
         return graph
 
 
-def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> tuple:
+class _Tree(NamedTuple):
+    """A spanning tree of the Cayley graph, rooted at the identity:
+    ``parent[x]`` and ``via[x]``, the step that leads from it to x, and per
+    step the gather that takes the parent's row (or column) to x's."""
+
+    parent: list[int]
+    via: list[int]
+    takes: list[Callable]
+
+
+class _CayleyGraph(NamedTuple):
+    """Every element's inverse and the gather at them, the trees that build
+    rows and columns, the steps' rows, indexed as the trees' ``via``, and the
+    packer that turns a gathered tuple into the bytes of an ``array("H")``."""
+
+    inverses: tuple[int, ...]
+    at_inverses: Callable
+    row_tree: _Tree
+    col_tree: _Tree
+    step_rows: list[array]
+    pack: Callable
+
+
+def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> _CayleyGraph:
     """Complete a group's Cayley graph from the identity's (index 0) and the
     generators' rows, over the steps s: the generators and their inverses,
     whose rows are the inverse permutations of the generators'.  One
@@ -233,11 +263,9 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> tuple:
     for all x and s: two words for one element with different inverses
     refute associativity.
 
-    Returns ``(inverses, row tree, column tree, pack, at_inverses)``.  The
-    column tree, ``((parent, via), gathers)``, builds column(s*k) from
-    column(k) along k -> s*k; the row tree is the same tree seen through
-    inversion (x = k*s where x^-1 = s^-1*k^-1), builds row(k*s) from row(k)
-    and also keeps the steps' rows, for :meth:`FiniteGroup.mul`."""
+    The column tree builds column(s*k) from column(k) along k -> s*k; the
+    row tree is the same tree seen through inversion (x = k*s where x^-1 =
+    s^-1*k^-1) and builds row(k*s) from row(k)."""
     n = len(rows)
     inverse_of: dict[int, int] = {}  # step -> its inverse, in order of the generators
     for g in dict.fromkeys(gens):
@@ -265,7 +293,8 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> tuple:
     step_cols_inv, inverses = [step_cols[i] for i in inverse_step], [0] * n
     for x in walk[1:]:
         inverses[x] = step_cols_inv[via[x]][inverses[parent[x]]]
-    at_inverses = itemgetter(*inverses)
+    at_ints = tuple(range(n)).__getitem__  # one int object per index, shared by the gathers
+    at_inverses = itemgetter(*map(at_ints, inverses))
     for s, col, i in zip(steps, step_cols, inverse_step):
         if itemgetter(*col)(inverses) != at_inverses(step_rows[i]):
             raise GroupError("not a group table: inverses disagree along two words")
@@ -273,39 +302,42 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> tuple:
     row_parent = list(map(inverses.__getitem__, map(parent.__getitem__, inverses)))
     at_step = (inverse_step or [0]).__getitem__  # C1 has no steps, and via[0] is unread
     row_via = list(map(at_step, map(via.__getitem__, inverses)))
-    return (
+    return _CayleyGraph(
         tuple(inverses),
-        ((row_parent, row_via), [itemgetter(*row) for row in step_rows], step_rows),
-        ((parent, via), [itemgetter(*cols[s]) for s in steps]),
-        Struct(f"{n}H").pack,  # native 16-bit, as array("H") stores
         at_inverses,
+        _Tree(row_parent, row_via, [itemgetter(*map(at_ints, row)) for row in step_rows]),
+        _Tree(parent, via, [itemgetter(*map(at_ints, cols[s])) for s in steps]),
+        step_rows,
+        Struct(f"{n}H").pack,  # native 16-bit, as array("H") stores
     )
 
 
-def _gathered(memo: list, dual: list, i: int, graph: tuple, tree: int) -> array:
-    """``memo[i]``, where ``memo`` holds the rows built so far and ``dual``
-    the columns (``tree`` 1, the row tree of ``graph``) or the other way round
-    (``tree`` 2): from i's nearest built ancestor in the tree by one gather
-    per step down, each step memoized, unless that takes two steps or more
-    and ``dual[i^-1]`` is built, which gives it by two gathers as x*y =
-    (y^-1*x^-1)^-1 and y*x = (x^-1*y^-1)^-1.  The steps pass tuples, which
-    gather about twice as fast as arrays; each is packed to bytes by one
-    ``Struct``, several times cheaper than ``array`` converting a tuple."""
-    inverses, pack, at_inverses = graph[0], graph[3], graph[4]
-    (parent, via), takes = graph[tree][:2]
+def _gathered(memo: list, dual: list, i: int, graph: _CayleyGraph, tree: _Tree) -> array:
+    """``memo[i]``, where ``memo`` holds the rows built so far, ``dual`` the
+    columns and ``tree`` is the row tree of ``graph``, or the other way
+    round.  Walked from i's nearest built ancestor in the tree, it takes one
+    gather per step down and keeps each step.  When that is two steps or
+    more and ``dual[i^-1]`` is built, two gathers from it give ``memo[i]``
+    alone, as x*y = (y^-1*x^-1)^-1 and y*x = (x^-1*y^-1)^-1: no more
+    gathers, and on deep trees, such as D5000's (about 1,250 steps), far
+    fewer rows and columns kept.  The steps pass tuples, which gather about
+    twice as fast as arrays; each is packed to bytes by one ``Struct``,
+    several times cheaper than ``array`` converting a tuple."""
+    parent, via, takes = tree
     path = [i]
     x = parent[i]
     while memo[x] is None:
         path.append(x)
         x = parent[x]
-    other = dual[inverses[i]]
+    other = dual[graph.inverses[i]]
     if len(path) > 1 and other is not None:
-        memo[i] = array("H", pack(*at_inverses(itemgetter(*other)(inverses))))
+        cells = graph.at_inverses(itemgetter(*other)(graph.inverses))
+        memo[i] = array("H", graph.pack(*cells))
         return memo[i]
     cells = memo[x]
     for x in reversed(path):
         cells = takes[via[x]](cells)
-        memo[x] = array("H", pack(*cells))
+        memo[x] = array("H", graph.pack(*cells))
     return memo[i]
 
 

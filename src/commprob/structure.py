@@ -250,8 +250,8 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     of atoms (the subgroups generated by single conjugacy classes), and the
     join of normal A and B is the product set AB, so the atoms are closed
     under joining with one atom at a time.  AB is grown as a union of right
-    cosets A y, one for each y in B not yet covered, read as in
-    :func:`_coset_data`.
+    cosets A y, one for each y in B not yet covered, read by
+    :func:`_right_coset`.
     No standalone group is built per N: :func:`subgroup_gens`,
     :func:`subgroup_class_count` and :func:`subgroup_is_abelian` work in G's table."""
 
@@ -262,13 +262,12 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         found = set(atoms) | {tuple(range(G.order))}
         walk = list(atoms)
         for a in walk:  # also visits what the loop appends
-            rows = [G.row(x) for x in a] if len(a) ** 2 <= G.order else None
-            take = itemgetter(*a)
+            coset = _right_coset(G, a)
             for b in atoms:
                 covered = set(a)
                 for y in b:
                     if y not in covered:
-                        covered.update(map(itemgetter(y), rows) if rows else take(G.column(y)))
+                        covered.update(coset(y))
                 if (joined := tuple(sorted(covered))) not in found:
                     found.add(joined)
                     if len(joined) < G.order:
@@ -284,25 +283,34 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 def _coset_data(G: FiniteGroup, N: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Right-coset ids of the normal subgroup N, numbered in order of their
     lowest members, and those members: G/N read in G's own table, memoized
-    per N.  A coset N i is read off N's rows when N is small (|N|^2 <= |G|),
-    else off column i, so that at most about sqrt(|G|) rows are built, or
-    one column per coset.  Raises :class:`NotNormal` otherwise."""
+    per N; each coset N i is read by :func:`_right_coset`.  Raises
+    :class:`NotNormal` otherwise."""
     if not is_normal(G, N):
         raise NotNormal("quotients require a normal subgroup")
 
     def compute():
-        members, coset_of, reps = N.member_indices, [-1] * G.order, []
-        rows = [G.row(m) for m in members] if len(members) ** 2 <= G.order else None
-        take = itemgetter(*members)
+        coset, coset_of, reps = _right_coset(G, N.member_indices), [-1] * G.order, []
         for i in range(G.order):
             if coset_of[i] < 0:
                 k = len(reps)
-                for x in map(itemgetter(i), rows) if rows else take(G.column(i)):
+                for x in coset(i):
                     coset_of[x] = k
                 reps.append(i)
         return tuple(coset_of), tuple(reps)
 
     return _cached(G, ("cosets", N.member_indices), compute)
+
+
+def _right_coset(G: FiniteGroup, members: Sequence[int]) -> Callable[[int], Iterable[int]]:
+    """The map y -> the members times y, for a subgroup's members: read off
+    the members' rows when they are few (|members|^2 <= |G|), else off
+    column y, so that at most about sqrt(|G|) rows are built, or one column
+    per coset."""
+    if len(members) ** 2 <= G.order:
+        rows = [G.row(m) for m in members]
+        return lambda y: map(itemgetter(y), rows)
+    take = itemgetter(*members)  # two members or more, so a tuple
+    return lambda y: take(G.column(y))
 
 
 def _quotient_classes(G: FiniteGroup, N: Subgroup) -> list[frozenset[int]]:

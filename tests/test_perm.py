@@ -344,6 +344,30 @@ def test_lazy_rows_and_columns_match_the_oracle(spec, requests):
     assert [row.tolist() for row in G.multiplication_table()] == products
 
 
+def test_deep_rows_and_columns_keep_only_what_they_need():
+    # C_40 closed from a 40-cycle (index k is its k-th power, so products
+    # add indices): its tree over 1 and -1 is a path, 20 steps deep.  A
+    # product read before its row or column is built walks up the tree and
+    # builds nothing; a column walked down the tree keeps each step; a row
+    # whose inverse's column is built is two gathers from it and keeps no
+    # other row; a row whose inverse's column is not built is walked as well
+    G = generate_group(40, [Permutation([*range(1, 40), 0])])
+
+    def built():
+        return sum(r is not None for r in G._rows), sum(c is not None for c in G._cols)
+
+    G.inv(0)
+    rows, cols = built()
+    assert G.mul(20, 19) == 39 and built() == (rows, cols)
+    assert G.column(21).tolist() == [(x + 21) % 40 for x in range(40)]
+    assert built()[1] > cols + 1
+    rows, cols = built()
+    assert G.row(19).tolist() == [(19 + x) % 40 for x in range(40)]
+    assert built() == (rows + 1, cols)
+    assert G.row(25).tolist() == [(25 + x) % 40 for x in range(40)]
+    assert built()[0] > rows + 2
+
+
 @given(shared_generator_sets(), st.integers(1, 800))
 @settings(deadline=None, max_examples=60)
 def test_order_cap_refused_exactly_when_exceeded(spec, cap):
