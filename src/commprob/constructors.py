@@ -28,7 +28,6 @@ from .perm import (
     OrderCapExceeded,
     Permutation,
     _extend_map,
-    _fill_rows,
     generate_group,
 )
 
@@ -146,9 +145,10 @@ def semidirect_product(
 
     Only the rows of its generators, (a, 1) for a generating N and (1, h)
     for h generating H, are written from N's and H's tables: (a, h) * (a', h')
-    is (a^h' * a', h * h') at index a * |H| + h.  Every other row is read off
-    those by right multiplication (``perm._fill_rows``).  Orders above ``max_order``
-    or :data:`MAX_GROUP_ORDER` are refused before anything is built.
+    is (a^h' * a', h * h') at index a * |H| + h.  Every other row comes on
+    first use; the Cayley graph, built at once, refuses generators that do
+    not generate.  Orders above ``max_order`` or :data:`MAX_GROUP_ORDER` are
+    refused before anything is built.
     """
     order = N.order * H.order
     cap = min(max_order, MAX_GROUP_ORDER)
@@ -167,9 +167,9 @@ def semidirect_product(
     rows[0] = array("H", range(order))
     for g in gens:
         rows[g] = row(g)
-    if _fill_rows(rows, gens, 0) != order:
-        raise GroupError("the generators of N and H do not generate the product")
-    return FiniteGroup._over_table(rows, gens)
+    G = FiniteGroup._over_table(rows, gens)
+    G._cayley()  # the graph refuses generators that do not generate G
+    return G
 
 
 # -- named groups --------------------------------------------------------------

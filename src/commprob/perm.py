@@ -97,9 +97,9 @@ class FiniteGroup:
     of column(s), for s a generator or its inverse; or, when that takes two
     steps or more, by two gathers from the column (row) of its inverse if
     that is built (:func:`_gathered`).  Callers that read x*g for one g over
-    many x take column g.  The whole table
-    (:meth:`multiplication_table`, 2 * |G|^2 bytes) is built only for callers
-    that read every row.  Orders above :data:`MAX_GROUP_ORDER` do not fit
+    many x take column g.  The whole table (:meth:`multiplication_table`,
+    2 * |G|^2 bytes) is every row built this way, for callers that read
+    them all.  Orders above :data:`MAX_GROUP_ORDER` do not fit
     16-bit indices and are refused.
 
     ``FiniteGroup(...)`` is not public; every group is built one way, by
@@ -110,26 +110,26 @@ class FiniteGroup:
     ``a -> a * i`` of degree |G|, column i (:meth:`element`).
 
     Immutable after construction and safe to share read-only across threads:
-    two threads that build a row, a column, the graph or the table at once
-    each build their own and publish equal ones, never a part of one.
+    two threads that build a row, a column or the graph at once each build
+    their own and publish equal ones, never a part of one.
     Invariants are memoized the same way.
     """
 
     __slots__ = (
         "degree", "identity_index", "_elements", "_index", "_gens",
-        "_rows", "_cols", "_graph", "_table", "_cache",
+        "_rows", "_cols", "_graph", "_cache",
     )
 
     @classmethod
     def _over_table(cls, rows: Sequence, gens: Sequence[int], elements=None) -> "FiniteGroup":
         """The group over ``rows``, unchecked: row 0 the identity's, the rows
         of ``gens`` filled, None where a row comes on first use (the rows are
-        kept, the sequence copied); ``gens`` generate the group.  ``elements``
-        are the permutations the indices name; by default the right regular
-        ones of degree |G|."""
+        kept, the sequence copied); ``gens`` generate the group, or the graph
+        is refused.  ``elements`` are the permutations the indices name; by
+        default the right regular ones of degree |G|."""
         group = cls.__new__(cls)
         group.identity_index, group._index, group._gens = 0, None, tuple(gens)
-        group._elements, group._graph, group._table, group._cache = elements, None, None, {}
+        group._elements, group._graph, group._cache = elements, None, {}
         group._rows = list(rows)
         group._cols = [group._rows[0]] + [None] * (len(rows) - 1)  # column 0 is row 0
         group.degree = len(rows) if elements is None else elements[0].degree
@@ -206,14 +206,13 @@ class FiniteGroup:
         return self.column(g)[self.row(self.inv(g))[x]]
 
     def multiplication_table(self) -> tuple[array, ...]:
-        """The Cayley table, ``table[i][j] == mul(i, j)``: on the first call
-        a copy of the rows built so far is completed by right multiplication
-        (:func:`_fill_rows`) and published whole."""
-        if self._table is None:
-            rows = list(self._rows)
-            _fill_rows(rows, self._gens, 0)
-            self._table, self._rows = tuple(rows), rows
-        return self._table
+        """The Cayley table, ``table[i][j] == mul(i, j)``: every row, those
+        not built yet by :meth:`row` in the row tree's breadth-first order,
+        so each is one gather from its parent's."""
+        if None in self._rows:
+            for x in self._cayley().row_walk:
+                self.row(x)
+        return tuple(self._rows)
 
     def generating_indices(self) -> tuple[int, ...]:
         """The generators the group was built from, deterministic for a
@@ -240,13 +239,14 @@ class _Tree(NamedTuple):
 
 class _CayleyGraph(NamedTuple):
     """Every element's inverse and the gather at them, the trees that build
-    rows and columns, the steps' rows, indexed as the trees' ``via``, and the
-    packer that turns a gathered tuple into the bytes of an ``array("H")``."""
+    rows and columns, the row tree's walk (parents first), the steps' rows,
+    indexed as the trees' ``via``, and the packer of a gathered tuple."""
 
     inverses: tuple[int, ...]
     at_inverses: Callable
     row_tree: _Tree
     col_tree: _Tree
+    row_walk: list[int]
     step_rows: list[array]
     pack: Callable
 
@@ -256,12 +256,12 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> _CayleyGraph:
     generators' rows, over the steps s: the generators and their inverses,
     whose rows are the inverse permutations of the generators'.  One
     breadth-first walk from the identity along k -> t*k for the steps t
-    spans the graph by a tree; each step's column is filled along it as
-    (t*k)*s = t*(k*s), and then the inverses as (t*k)^-1 = k^-1*t^-1, so the
-    closure records rows alone.  Rows and columns are written into ``rows``
-    and ``cols``.  Every edge is then checked at once, (x*s)^-1 == s^-1*x^-1
-    for all x and s: two words for one element with different inverses
-    refute associativity.
+    spans the graph by a tree (generators it does not span are refused);
+    each step's column is filled along it as (t*k)*s = t*(k*s), then the
+    inverses as (t*k)^-1 = k^-1*t^-1, so the closure records rows alone.
+    Rows and columns are written into ``rows`` and ``cols``.  Every edge is
+    then checked at once, (x*s)^-1 == s^-1*x^-1 for all x and s: two words
+    for one element with different inverses refute associativity.
 
     The column tree builds column(s*k) from column(k) along k -> s*k; the
     row tree is the same tree seen through inversion (x = k*s where x^-1 =
@@ -289,6 +289,8 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> _CayleyGraph:
                 walk.append(x)
                 for col in step_cols:  # (t*k)*s = t*(k*s)
                     col[x] = row[col[k]]
+    if len(walk) < n:
+        raise GroupError(f"the generators do not generate the group: {len(walk)} of {n}")
     inverse_step = [steps.index(inverse_of[s]) for s in steps]
     step_cols_inv, inverses = [step_cols[i] for i in inverse_step], [0] * n
     for x in walk[1:]:
@@ -307,6 +309,7 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> _CayleyGraph:
         at_inverses,
         _Tree(row_parent, row_via, [itemgetter(*map(at_ints, row)) for row in step_rows]),
         _Tree(parent, via, [itemgetter(*map(at_ints, cols[s])) for s in steps]),
+        list(map(inverses.__getitem__, walk)),  # the row tree's walk, breadth first
         step_rows,
         Struct(f"{n}H").pack,  # native 16-bit, as array("H") stores
     )
@@ -339,33 +342,6 @@ def _gathered(memo: list, dual: list, i: int, graph: _CayleyGraph, tree: _Tree) 
         cells = takes[via[x]](cells)
         memo[x] = array("H", graph.pack(*cells))
     return memo[i]
-
-
-def _fill_rows(rows: list, gens: Sequence[int], e: int) -> int:
-    """Fill the rows of every element the generators reach from the identity
-    ``e`` by right multiplication, ``row[k*g][z] == row[k][row[g][z]]``: the
-    row of k*g is row k gathered at the entries of row g, by one
-    ``itemgetter`` per generator, packed to bytes by one ``Struct`` (several
-    times cheaper than ``array`` converting the tuple).  Needs the rows of ``e``
-    and of ``gens`` filled; rows already filled are kept.  The identity is
-    skipped as a generator: it reaches nothing new, and on C1 its one-index
-    ``itemgetter`` would return a scalar.  Returns how many elements are
-    reached."""
-    pack = Struct(f"{len(rows)}H").pack  # native 16-bit, as array("H") stores
-    steps = [(g, itemgetter(*rows[g])) for g in dict.fromkeys(gens) if g != e]
-    seen = bytearray(len(rows))
-    seen[e] = 1
-    walk = [e]
-    for k in walk:  # also visits what the loop appends
-        row_k = rows[k]
-        for g, take_g in steps:
-            kg = row_k[g]
-            if not seen[kg]:
-                seen[kg] = 1
-                walk.append(kg)
-                if rows[kg] is None:
-                    rows[kg] = array("H", pack(*take_g(row_k)))
-    return len(walk)
 
 
 def _extend_map(
@@ -482,24 +458,34 @@ def _order_divisor(degree: int, gens: Sequence[tuple[int, ...]]) -> int:
     without building it: the lcm of its orbit lengths on the points (each an
     index of a point stabilizer) and of the generators' orders (each the lcm
     of its cycle lengths, the orbit lengths of the generator alone)."""
-    return math.lcm(*_orbit_lengths(degree, gens), *(
-        n for g in gens for n in _orbit_lengths(degree, [g])))
+    return math.lcm(*(
+        len(orbit) for maps in (gens, *([g] for g in gens))
+        for orbit in _orbits(range(degree), maps, degree)))
 
 
-def _orbit_lengths(degree: int, gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """The length of each orbit of the image tuples on the points."""
-    seen = bytearray(degree)
-    for start in range(degree):
-        if not seen[start]:
-            seen[start] = 1
-            orbit = [start]
-            for p in orbit:  # also visits what the loop appends
-                for g in gens:
-                    q = g[p]
-                    if not seen[q]:
-                        seen[q] = 1
-                        orbit.append(q)
-            yield len(orbit)
+def _grow(points: Iterable[int], maps: Sequence[Sequence[int]], seen: bytearray) -> list[int]:
+    """The orbit of the points not yet ``seen`` under the index maps (rows,
+    columns, conjugation maps, image tuples), x -> m[x], grown breadth first
+    and marked in ``seen`` (Holt, Eick and O'Brien, 2005, section 4.1)."""
+    orbit = []
+    for x in points:
+        if not seen[x]:
+            seen[x] = 1
+            orbit.append(x)
+    for x in orbit:  # also visits what the loop appends
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return orbit
+
+
+def _orbits(domain: Iterable[int], maps: Sequence[Sequence[int]], size: int) -> list[list[int]]:
+    """The orbits of the maps on 0..size-1 that meet ``domain``, each grown
+    by :func:`_grow` from its first point in ``domain``, in that order."""
+    seen = bytearray(size)
+    return [_grow((x,), maps, seen) for x in domain if not seen[x]]
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

@@ -12,7 +12,7 @@ from itertools import compress
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .perm import FiniteGroup, GroupError, _generator_maps
+from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits
 
 
 class NotNormal(GroupError):
@@ -94,27 +94,16 @@ def _check_index(G: FiniteGroup, x: int) -> None:
 
 def _closure(G: FiniteGroup, seeds: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Members (ascending) and greedy generators of the subgroup generated by
-    the seeds, in order; a seed inside the closure so far is skipped.  Old
-    members are multiplied by a new generator, new members by every one,
-    each product read off the generator's column."""
-    members = [G.identity_index]
-    seen = set(members)
-    gens: list[int] = []
-    cols = []
+    the seeds, in order; a seed inside the closure so far is skipped.  A new
+    generator's coset of the members is grown (:func:`~commprob.perm._grow`)
+    under every generator's column."""
+    seen, gens, cols = bytearray(G.order), [], []
+    members = _grow((G.identity_index,), cols, seen)
     for s in seeds:
-        if s in seen:
-            continue
-        gens.append(s)
-        cols.append(col_s := G.column(s))
-        new = [col_s[x] for x in members]
-        seen.update(new)
-        for x in new:  # also visits what the loop appends
-            for col in cols:
-                y = col[x]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        members += new
+        if not seen[s]:
+            gens.append(s)
+            cols.append(col_s := G.column(s))
+            members += _grow(map(col_s.__getitem__, members), cols, seen)
     return tuple(sorted(members)), tuple(gens)
 
 
@@ -168,27 +157,12 @@ def subgroup_is_abelian(G: FiniteGroup, H: Subgroup) -> bool:
     return _commute(G, subgroup_gens(G, H))
 
 
-def _orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -> list[list[int]]:
-    """The orbits of the elements of ``domain`` under conjugation by the
-    conjugators, x -> g^-1 x g read off row g^-1 and column g; each starts
-    with the first of its members in ``domain``, and they come in the order
-    of those members."""
-    steps = [(G.row(G.inv(g)), G.column(g)) for g in conjugators]
-    seen = bytearray(G.order)
-    orbits = []
-    for i in domain:
-        if seen[i]:
-            continue
-        seen[i] = 1
-        orbit = [i]
-        for x in orbit:  # also visits what the loop appends
-            for row_g_inv, col_g in steps:
-                y = col_g[row_g_inv[x]]
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
-        orbits.append(orbit)
-    return orbits
+def _class_orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -> list:
+    """The orbits of ``domain`` under conjugation, x -> g^-1 x g: column g
+    gathered at row g^-1 for each conjugator g but the identity (on C1 a
+    one-index gather gives no tuple)."""
+    maps = [itemgetter(*G.row(G.inv(g)))(G.column(g)) for g in conjugators if g != G.identity_index]
+    return _orbits(domain, maps, G.order)
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
@@ -196,7 +170,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     representative.  Orbits are grown by conjugating with generators only."""
 
     def compute():
-        return [ConjugacyClass(o) for o in _orbits(G, range(G.order), G.generating_indices())]
+        return [ConjugacyClass(o) for o in _class_orbits(G, range(G.order), G.generating_indices())]
 
     return _cached(G, "classes", compute)
 
@@ -207,7 +181,7 @@ def subgroup_class_count(G: FiniteGroup, H: Subgroup) -> int:
     if H.is_whole():
         return len(conjugacy_classes(G))
     key = ("class_count", H.member_indices)
-    return _cached(G, key, lambda: len(_orbits(G, H.member_indices, subgroup_gens(G, H))))
+    return _cached(G, key, lambda: len(_class_orbits(G, H.member_indices, subgroup_gens(G, H))))
 
 
 def class_size_map(G: FiniteGroup) -> tuple[int, ...]:
@@ -241,7 +215,7 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds: the subgroup
     generated by the seeds' orbits under conjugation by G's generators."""
-    orbits = _orbits(G, seeds, G.generating_indices())
+    orbits = _class_orbits(G, seeds, G.generating_indices())
     return Subgroup(G, _closure(G, [x for o in orbits for x in o])[0])
 
 

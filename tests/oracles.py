@@ -37,6 +37,15 @@ def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
+def oracle_orbit(x: int, maps) -> frozenset:
+    """Every point reached from x by applying the index maps, as sets: the
+    reached set is grown by all images at once until it stops changing."""
+    orbit = {x}
+    while (grown := orbit | {m[y] for y in orbit for m in maps}) != orbit:
+        orbit = grown
+    return frozenset(orbit)
+
+
 def oracle_center(G: FiniteGroup) -> tuple[int, ...]:
     """Every x with x * g = g * x for all g: row x of the table against its
     column x."""

@@ -186,6 +186,16 @@ def test_semidirect_unfilled_row_is_a_group_error():
         semidirect_product(N, H, trivial_action(N, H))
 
 
+def test_semidirect_product_holds_only_its_graph_rows():
+    # built from its generators' rows, which the graph inverts; every other
+    # row of (C5xC5):C15 waits for first use
+    G = named("(C5xC5):C15")
+    gens = G.generating_indices()
+    built = {i for i, row in enumerate(G._rows) if row is not None}
+    assert built <= {0, *gens, *map(G.inv, gens)}
+    assert len(G.multiplication_table()) == 375
+
+
 def table_lists(G):
     return [row.tolist() for row in G.multiplication_table()]
 

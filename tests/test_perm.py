@@ -15,13 +15,13 @@ from commprob.perm import (
     GroupError,
     OrderCapExceeded,
     Permutation,
-    _fill_rows,
     _order_divisor,
+    _orbits,
     element_order,
     generate_group,
 )
 
-from oracles import oracle_perm_order, oracle_semidirect_table
+from oracles import oracle_orbit, oracle_perm_order, oracle_semidirect_table
 from strategies import generator_sets as shared_generator_sets
 
 THREE_CYCLE = Permutation([1, 2, 0])
@@ -244,11 +244,6 @@ def test_kernel_on_the_smallest_groups(degree):
     ident = Permutation(range(degree))
     G = generate_group(degree, [ident, Permutation(reversed(range(degree)))])
     assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
-    rows = [array("H", range(degree))] + [None] * (degree - 1)
-    if degree == 2:
-        rows[1] = array("H", [1, 0])
-    assert _fill_rows(rows, [0, degree - 1, 0], 0) == degree
-    assert [row.tolist() for row in rows] == composed_table(G)
 
 
 def test_kernel_skips_identity_generators():
@@ -396,15 +391,47 @@ def test_large_degree_refused_before_the_closure():
     assert time.perf_counter() - started < 0.5
 
 
-def test_kernel_fills_only_what_the_generators_reach():
-    # rows of S3 filled from one transposition: the kernel reaches 2 of 6
+@st.composite
+def index_maps(draw):
+    """Permutations of 0..n-1 as index maps, the identity map among them at
+    times, and a domain: some points of 0..n-1 in any order, repeats allowed."""
+    n = draw(st.integers(1, 12))
+    maps = draw(st.lists(st.permutations(range(n)), max_size=3))
+    if draw(st.booleans()):
+        maps.insert(draw(st.integers(0, len(maps))), list(range(n)))
+    domain = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return n, [tuple(m) for m in maps], domain
+
+
+@given(index_maps())
+def test_orbits_match_the_set_oracle(spec):
+    # the orbits partition the points they reach from the domain, each is
+    # closed under the maps, and each starts at its first point in the
+    # domain, in the domain's order
+    n, maps, domain = spec
+    orbits = _orbits(domain, maps, n)
+    points = [x for orbit in orbits for x in orbit]
+    assert len(points) == len(set(points)) and set(domain) <= set(points)
+    for orbit in orbits:
+        assert frozenset(orbit) == oracle_orbit(orbit[0], maps)
+        assert orbit[0] == next(x for x in domain if x in orbit)
+    starts = [orbit[0] for orbit in orbits]
+    assert starts == sorted(starts, key=domain.index)
+
+
+def test_rows_whose_generators_do_not_generate_are_refused_on_first_use():
+    # S3's rows with one transposition as the only generator: its walk
+    # reaches 2 of 6 elements, so the graph is refused instead of giving
+    # wrong inverses and rows
     S3 = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])])
     full = S3.multiplication_table()
     t = S3.index_of(Permutation([1, 0, 2]))
     rows = [None] * 6
     rows[0], rows[t] = full[0], full[t]
-    assert _fill_rows(rows, [t], 0) == 2
-    assert [i for i, r in enumerate(rows) if r is not None] == sorted({0, t})
+    G = FiniteGroup._over_table(rows, [t])
+    for first_use in (lambda: G.inv(2), lambda: G.row(5), G.multiplication_table):
+        with pytest.raises(GroupError, match="do not generate"):
+            first_use()
 
 
 perm_strategy = st.integers(2, 6).flatmap(
