@@ -7,7 +7,8 @@ data line holds n space-separated 0-based integers, one generator in
 one-line image notation per line.  n is at most 65536, the element-index
 limit :data:`~commprob.perm.MAX_GROUP_ORDER`.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -120,19 +121,20 @@ def _group_source(args, suffix: str = "") -> tuple[str | None, str | None]:
 
 def _load_group(args, suffix: str = "") -> tuple[FiniteGroup, str]:
     name, path = _group_source(args, suffix)
+    return _group(name, path, args.max_order), name or path
+
+
+def _group(name: str | None, path: str | None, max_order: int) -> FiniteGroup:
+    """The catalog group ``name`` if it is given, else the group file at ``path``."""
     if name is not None:
-        return named(name), name
-    return _read_group(path, args.max_order), path
+        return named(name)
+    degree, gens = parse_group_file(_read_text(path))
+    return generate_group(degree, gens, max_order=max_order)
 
 
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
-
-
-def _read_group(path: str, max_order: int) -> FiniteGroup:
-    degree, gens = parse_group_file(_read_text(path))
-    return generate_group(degree, gens, max_order=max_order)
 
 
 def _select_normal(G: FiniteGroup, spec: str) -> Subgroup:
@@ -321,9 +323,8 @@ def _parse_action_file(text: str, n_order: int, count: int) -> list[tuple[int, .
 def _cmd_construct(args) -> int:
     if args.construct_cmd != "semidirect":
         raise GroupError("unknown construct subcommand")
-    keys = catalog_orders()
-    N = named(args.n) if args.n in keys else _read_group(args.n, args.max_order)
-    H = named(args.h) if args.h in keys else _read_group(args.h, args.max_order)
+    keys = catalog_orders()  # --n and --h are each a catalog key or a path
+    N, H = (_group(s if s in keys else None, s, args.max_order) for s in (args.n, args.h))
     if args.h_gens is not None:
         parts = args.h_gens.split(",")
         if not all(p.strip().isdecimal() and int(p) < H.order for p in parts):
@@ -432,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, BrokenPipeError):  # nothing more can reach stdout
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # not a failed verdict: the input is too large for this machine
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -33,14 +33,14 @@ from .perm import (
 
 
 def cyclic(n: int) -> FiniteGroup:
-    """The cyclic group of order n, given by its table (i + j) mod n:
-    element i rotates n points by i."""
+    """The cyclic group of order n, given by the rows of 0 and of its
+    generator 1 in the table (i + j) mod n: element i rotates n points by i."""
     if n < 1:
         raise GroupError("cyclic group order must be a positive integer")
     if n > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(f"group closure exceeded the order cap of {DEFAULT_ORDER_CAP}")
     first = array("H", range(n))
-    rows = [first[i:] + first[:i] for i in range(n)]
+    rows = [first, first[1:] + first[:1]][:n] + [None] * (n - 2)
     return FiniteGroup._over_table(rows, (1,) if n > 1 else ())
 
 
@@ -70,11 +70,12 @@ def automorphism_from_generator_images(
     N: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...]:
     """The unique automorphism of N sending gens to images, as a full
-    permutation of element indices (one ``perm._extend_map`` walk over N's
-    table).  Raises unless it is a homomorphism on all of N and a bijection."""
-    rows = N.multiplication_table()
+    permutation of element indices (one ``perm._extend_map`` walk along the
+    columns of gens, phi(x) times an image read off the image's column).
+    Raises unless it is a homomorphism on all of N and a bijection."""
     phi, clash = _extend_map(
-        rows, N.identity_index, gens, images, lambda px, mg: rows[px][mg], N.identity_index
+        list(map(N.column, gens)), N.order, list(map(N.column, images)),
+        lambda px, col: col[px], N.identity_index,
     )
     if clash is not None or -1 in phi or len(set(phi)) != N.order:
         raise GroupError(f"generator images {list(images)} do not define an automorphism")
@@ -94,11 +95,14 @@ class ActionSpec(NamedTuple):
 
 
 def _validate_automorphism(N: FiniteGroup, img: tuple[int, ...], label: str) -> None:
+    """Refuse ``img`` unless it is a bijection with img(a*b) = img(a)*img(b)
+    for N's generators a and every b, off the rows of a and img(a): the a
+    for which that holds are closed under products, so they are all of N."""
     if sorted(img) != list(range(N.order)):
         raise GroupError(f"action image for {label} is not a bijection of N's indices")
-    rows, take_img = N.multiplication_table(), itemgetter(*img)
-    for a, row_a in enumerate(rows):
-        row_img_a = rows[img[a]]
+    take_img = itemgetter(*img)
+    for a in N.generating_indices():
+        row_a, row_img_a = N.row(a), N.row(img[a])
         if itemgetter(*row_a)(img) != take_img(row_img_a):  # img(a*b) vs img(a)*img(b), all b
             b = next(b for b in range(N.order) if img[row_a[b]] != row_img_a[img[b]])
             raise GroupError(
@@ -109,10 +113,11 @@ def _validate_automorphism(N: FiniteGroup, img: tuple[int, ...], label: str) -> 
 
 def _action_table(N: FiniteGroup, H: FiniteGroup, action: ActionSpec) -> list[tuple[int, ...]]:
     """Extend the generator action to every element of H by one walk of
-    ``perm._extend_map`` over H's table, psi(x*g) applying psi(x) first,
-    then psi(g), and return one index permutation per H element.  Refuses
-    an action that is not a homomorphism (a generator listed twice with
-    different automorphisms included), naming the failing relation."""
+    ``perm._extend_map`` along the acting generators' columns, psi(x*g)
+    applying psi(x) first, then psi(g), and return one index permutation per
+    H element.  Refuses an action that is not a homomorphism (a generator
+    listed twice with different automorphisms included), naming the failing
+    relation."""
     if len(action.acting_generators) != len(action.automorphism_images):
         raise GroupError("one automorphism image is required per acting generator")
     imgs = [tuple(img) for img in action.automorphism_images]
@@ -121,13 +126,14 @@ def _action_table(N: FiniteGroup, H: FiniteGroup, action: ActionSpec) -> list[tu
             raise GroupError(f"acting generator index {g} out of range")
         _validate_automorphism(N, img, f"H-generator {g}")
     psi, clash = _extend_map(
-        H.multiplication_table(), H.identity_index, action.acting_generators, imgs,
+        list(map(H.column, action.acting_generators)), H.order, imgs,
         lambda px, img: tuple(map(img.__getitem__, px)), tuple(range(N.order)),
     )
     if clash is not None:
+        x, g = clash[0], action.acting_generators[clash[1]]
         raise GroupError(
             "action does not extend to a homomorphism: the relation "
-            "psi({0}*{1}) = psi({0})*psi({1}) fails in H".format(*clash)
+            f"psi({x}*{g}) = psi({x})*psi({g}) fails in H"
         )
     if -1 in psi:
         raise GroupError("acting generators do not generate H")
@@ -144,22 +150,23 @@ def semidirect_product(
     normal copy of N with a complement isomorphic to H.
 
     Only the rows of its generators, (a, 1) for a generating N and (1, h)
-    for h generating H, are written from N's and H's tables: (a, h) * (a', h')
-    is (a^h' * a', h * h') at index a * |H| + h.  Every other row comes on
-    first use; the Cayley graph, built at once, refuses generators that do
-    not generate.  Orders above ``max_order`` or :data:`MAX_GROUP_ORDER` are
+    for h generating H, are written, from the rows of a and h: (a, h) *
+    (a', h') is (a^h' * a', h * h') at index a * |H| + h, and a^h' * a' =
+    p(a * p^-1(a')) for p the action of h'.  Every other row comes on first
+    use; the Cayley graph, built at once, refuses generators that do not
+    generate.  Orders above ``max_order`` or :data:`MAX_GROUP_ORDER` are
     refused before anything is built.
     """
     order = N.order * H.order
     cap = min(max_order, MAX_GROUP_ORDER)
     if order > cap:
         raise GroupError(f"product order {order} exceeds the order cap of {cap}")
-    psi = _action_table(N, H, action)
-    nh, n_table, h_table = H.order, N.multiplication_table(), H.multiplication_table()
+    psi, nh = _action_table(N, H, action), H.order
 
     def row(g: int) -> array:  # (a, h) * (a', h') = (a^h' * a', h * h')
         a, h = divmod(g, nh)
-        conj, h_row = [n_table[p[a]] for p in psi], h_table[h]  # N's row of a^h', per h'
+        row_a, h_row = N.row(a), H.row(h)
+        conj = [[p[row_a[x]] for x in psi[H.inv(k)]] for k, p in enumerate(psi)]  # a^h' * a'
         return array("H", [conj[k][b] * nh + h_row[k] for b in range(N.order) for k in range(nh)])
 
     gens = [a * nh for a in N.generating_indices()] + list(H.generating_indices())

@@ -97,9 +97,7 @@ class FiniteGroup:
     of column(s), for s a generator or its inverse; or, when that takes two
     steps or more, by two gathers from the column (row) of its inverse if
     that is built (:func:`_gathered`).  Callers that read x*g for one g over
-    many x take column g.  The whole table (:meth:`multiplication_table`,
-    2 * |G|^2 bytes) is every row built this way, for callers that read
-    them all.  Orders above :data:`MAX_GROUP_ORDER` do not fit
+    many x take column g.  Orders above :data:`MAX_GROUP_ORDER` do not fit
     16-bit indices and are refused.
 
     ``FiniteGroup(...)`` is not public; every group is built one way, by
@@ -205,15 +203,6 @@ class FiniteGroup:
         """Index of g^-1 * x * g."""
         return self.column(g)[self.row(self.inv(g))[x]]
 
-    def multiplication_table(self) -> tuple[array, ...]:
-        """The Cayley table, ``table[i][j] == mul(i, j)``: every row, those
-        not built yet by :meth:`row` in the row tree's breadth-first order,
-        so each is one gather from its parent's."""
-        if None in self._rows:
-            for x in self._cayley().row_walk:
-                self.row(x)
-        return tuple(self._rows)
-
     def generating_indices(self) -> tuple[int, ...]:
         """The generators the group was built from, deterministic for a
         given group: the closure's, repeats dropped, or the constructor's."""
@@ -239,14 +228,13 @@ class _Tree(NamedTuple):
 
 class _CayleyGraph(NamedTuple):
     """Every element's inverse and the gather at them, the trees that build
-    rows and columns, the row tree's walk (parents first), the steps' rows,
-    indexed as the trees' ``via``, and the packer of a gathered tuple."""
+    rows and columns, the steps' rows, indexed as the trees' ``via``, and the
+    packer of a gathered tuple."""
 
     inverses: tuple[int, ...]
     at_inverses: Callable
     row_tree: _Tree
     col_tree: _Tree
-    row_walk: list[int]
     step_rows: list[array]
     pack: Callable
 
@@ -309,7 +297,6 @@ def _cayley_graph(rows: list, cols: list, gens: Sequence[int]) -> _CayleyGraph:
         at_inverses,
         _Tree(row_parent, row_via, [itemgetter(*map(at_ints, row)) for row in step_rows]),
         _Tree(parent, via, [itemgetter(*map(at_ints, cols[s])) for s in steps]),
-        list(map(inverses.__getitem__, walk)),  # the row tree's walk, breadth first
         step_rows,
         Struct(f"{n}H").pack,  # native 16-bit, as array("H") stores
     )
@@ -345,55 +332,63 @@ def _gathered(memo: list, dual: list, i: int, graph: _CayleyGraph, tree: _Tree) 
 
 
 def _extend_map(
-    rows: Sequence, e: int, gens: Sequence[int], images: Sequence, mul: Callable, start
+    cols: Sequence[Sequence[int]], size: int, images: Sequence, mul: Callable, start
 ) -> tuple[list | None, tuple[int, int] | None]:
-    """Extend ``gens[i] -> images[i]`` by one walk from the identity ``e`` over
-    the table ``rows``: ``phi(e) = start``, ``phi(x*g) = mul(phi(x), image of
-    g)``, e.g. a homomorphism, an action or (``mul`` reversed) inversion.
-    Checking every edge x -> x*g forces the rule on all of <gens>.  Returns
-    ``(phi, None)``, phi -1 where the walk does not reach, or ``(None, (x, g))``
-    at the first edge where two paths disagree (such as a generator listed
-    twice with different images)."""
-    phi: list = [-1] * len(rows)
-    phi[e] = start
-    steps = list(zip(gens, images))
-    walk = [e]
+    """Extend ``g_i -> images[i]`` to a map on 0..size-1 by one walk from the
+    identity 0 along the generators' columns, ``cols[i][x] == x*g_i``:
+    ``phi(0) = start``, ``phi(x*g_i) = mul(phi(x), images[i])``, e.g. a
+    homomorphism or an action.  Checking every edge x -> x*g_i forces the
+    rule on all of <g_i>.  Returns ``(phi, None)``, phi -1 where the walk does
+    not reach, or ``(None, (x, i))`` at the first edge where two paths
+    disagree (such as a generator listed twice with different images)."""
+    phi: list = [-1] * size
+    phi[0] = start
+    steps = list(zip(range(len(cols)), cols, images))
+    walk = [0]
     for x in walk:  # also visits what the loop appends
-        row_x, phi_x = rows[x], phi[x]
-        for g, image in steps:
-            y, phi_y = row_x[g], mul(phi_x, image)
+        phi_x = phi[x]
+        for i, col, image in steps:
+            y, phi_y = col[x], mul(phi_x, image)
             if phi[y] == -1:
                 phi[y] = phi_y
                 walk.append(y)
             elif phi[y] != phi_y:
-                return None, (x, g)
+                return None, (x, i)
     return phi, None
 
 
 def _generator_maps(
-    rows: Sequence, e: int, gens: Sequence[int], candidates: Sequence[Sequence[int]],
+    cols: Sequence[Sequence[int]], size: int, candidates: Sequence[Sequence[int]],
     mul: Callable[[int, int], int], dst_e: int,
 ) -> Iterator[list[int]]:
-    """Each injective homomorphism from <gens> into the group with product
-    ``mul`` and identity ``dst_e``, with ``gens[i]`` sent into
-    ``candidates[i]``, depth first in the given order: a prefix of images is
-    extended by one :func:`_extend_map` walk and dropped on a clash or a
-    repeated image; -1 outside <gens>."""
+    """Each injective homomorphism from <g_i>, in a group on 0..size-1, into
+    the group with product ``mul`` and identity ``dst_e``, with g_i, whose
+    column is ``cols[i]``, sent into ``candidates[i]``, depth first in the
+    given order: a prefix of images is extended by one :func:`_extend_map`
+    walk and dropped on a clash or a repeated image; -1 outside <g_i>."""
 
     def search(images: list[int]) -> Iterator[list[int]]:
-        phi, clash = _extend_map(rows, e, gens[: len(images)], images, mul, dst_e)
+        phi, clash = _extend_map(cols[: len(images)], size, images, mul, dst_e)
         if clash is not None:
             return
         defined = [v for v in phi if v >= 0]
         if len(defined) != len(set(defined)):
             return
-        if len(images) == len(gens):
+        if len(images) == len(cols):
             yield phi
             return
         for cand in candidates[len(images)]:
             yield from search([*images, cand])
 
     return search([])
+
+
+def _section_steps(G: FiniteGroup, of: Sequence, reps: Sequence, elements) -> list[list[int]]:
+    """The columns of the elements of G in a section of G, walk steps for
+    :func:`_generator_maps`: element i of the section has the representative
+    reps[i] and ``of[x]`` is the element that x lies in, so i times g is
+    of[column(g)[reps[i]]]; for cosets, Mr*g = M(rg)."""
+    return [[of[col[r]] for r in reps] for col in map(G.column, elements)]
 
 
 def generate_group(

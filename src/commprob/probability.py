@@ -46,11 +46,8 @@ def commuting_pairs_oracle(G: FiniteGroup, max_order: int = DEFAULT_ORACLE_CAP) 
         raise GroupError(
             f"oracle cap exceeded: group order {n} > {max_order}"
         )
-    table = G.multiplication_table()
-    count = 0
-    for x in range(n):
-        row = table[x]
-        count += sum(1 for y in range(n) if row[y] == table[y][x])
+    rows = list(map(G.row, range(n)))
+    count = sum(rows[x][y] == rows[y][x] for x in range(n) for y in range(n))
     return Fraction(count, n * n)
 
 

@@ -12,7 +12,7 @@ from itertools import compress
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits
+from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits, _section_steps
 
 
 class NotNormal(GroupError):
@@ -406,10 +406,11 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
     It is the image of a homomorphic section s: G/N -> G, pi(s(q)) = q
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005): the first map of :func:`~commprob.perm._generator_maps`, the
-    search that finds isomorphisms, from N's right cosets, walked in G's
-    table as Nr * g = N(rg), to their members in index order.  Only G's
-    generators outside the span of N and those before them are lifted; the
-    lift of any other is forced.  Memoized per N.
+    search that finds isomorphisms, from N's right cosets, walked along the
+    lifted generators' columns as Nr * g = N(rg)
+    (:func:`~commprob.perm._section_steps`), to their members in index
+    order.  Only G's generators outside the span of N and those before them
+    are lifted; the lift of any other is forced.  Memoized per N.
     """
     if not is_normal(G, N):
         raise NotNormal("complements are searched for normal subgroups only")
@@ -420,10 +421,9 @@ def find_complement(G: FiniteGroup, N: Subgroup) -> Subgroup | None:
         coset_of, reps = _coset_data(G, N)
         seeds = [*subgroup_gens(G, N), *G.generating_indices()]
         lifts = [g for g in _closure(G, seeds)[1] if g not in N]
-        cols = {g: G.column(g) for g in lifts}
         sections = _generator_maps(
-            [{g: coset_of[cols[g][r]] for g in lifts} for r in reps], 0, lifts,
-            [sorted([cols[g][m] for m in N.member_indices]) for g in lifts],
+            _section_steps(G, coset_of, reps, lifts), len(reps),
+            [sorted([G.column(g)[m] for m in N.member_indices]) for g in lifts],
             G.mul, G.identity_index,
         )
         return next((Subgroup(G, section) for section in sections), None)

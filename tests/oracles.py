@@ -24,6 +24,12 @@ from commprob.perm import FiniteGroup, GroupError, Permutation, generate_group
 from commprob.structure import Subgroup, _coset_data, subgroup_generated
 
 
+def cayley_table(G: FiniteGroup) -> tuple:
+    """The whole Cayley table, ``table[i][j] == G.mul(i, j)``: every row,
+    each read through ``G.row``."""
+    return tuple(map(G.row, range(G.order)))
+
+
 def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Orbit of every element under conjugation by all of G."""
     classes = []
@@ -49,7 +55,7 @@ def oracle_orbit(x: int, maps) -> frozenset:
 def oracle_center(G: FiniteGroup) -> tuple[int, ...]:
     """Every x with x * g = g * x for all g: row x of the table against its
     column x."""
-    rows = G.multiplication_table()
+    rows = cayley_table(G)
     return tuple(x for x in range(G.order) if rows[x].tolist() == [row[x] for row in rows])
 
 
@@ -318,7 +324,7 @@ def _central_quotient_and_derived(G: FiniteGroup):
     two of them; and the commutator subgroup in index order, with each
     member's position.  G' is the closure of those commutators, which are
     all of G's."""
-    rows, inv = G.multiplication_table(), [G.inv(x) for x in range(G.order)]
+    rows, inv = cayley_table(G), [G.inv(x) for x in range(G.order)]
     z, coset, reps = oracle_center(G), {}, []
     for x in range(G.order):
         if x not in coset:
@@ -337,7 +343,7 @@ def verify_isoclinism_witness(
     commute on all pairs."""
     coset_g, reps_g, comm_g, pos_g, der_g = _central_quotient_and_derived(G)
     coset_h, reps_h, comm_h, pos_h, der_h = _central_quotient_and_derived(H)
-    rows_g, rows_h = G.multiplication_table(), H.multiplication_table()
+    rows_g, rows_h = cayley_table(G), cayley_table(H)
     phi, psi = witness.quotient_iso, witness.derived_iso
     if sorted(phi) != list(range(len(reps_h))) or sorted(psi) != list(range(len(der_h))):
         return False
@@ -372,7 +378,7 @@ def oracle_commutator_pairing(G: FiniteGroup, K: Subgroup | None = None):
     K = K or subgroup_generated(G, ())
     M, derived = _section(G, K)
     (pi, reps), d_of = _coset_data(G, M), derived[0]
-    rows = G.multiplication_table()
+    rows = cayley_table(G)
     reps_inv = [(r, G.inv(r)) for r in reps]
     pairing: list = [None] * len(reps)
     for a in _coset_data(G, K)[1]:  # [a, b] = a^-1 b^-1 a b
@@ -399,7 +405,7 @@ def oracle_find_isoclinism(
     mh, (of_b, reps_b), ph = oracle_commutator_pairing(H)
     if len(pg) != len(ph) or len(reps_a) != len(reps_b):
         return None
-    rows_g, rows_h = G.multiplication_table(), H.multiplication_table()
+    rows_g, rows_h = cayley_table(G), cayley_table(H)
 
     def mul_a(x: int, y: int) -> int:
         return of_a[rows_g[reps_a[x]][reps_a[y]]]

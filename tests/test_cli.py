@@ -594,27 +594,70 @@ def test_analyze_golden_output(path, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
-def test_analyze_s6_builds_no_table(tmp_path, monkeypatch, capsys):
-    # S6 read from a file: every statement is decided from rows and columns
-    # built on first use, fewer than 360 of the 2 * 720 in all, and never
-    # from the whole table
-    text, args, sha = ANALYZE_GOLDEN[".perfbench_work/s6.grp"]
-    for key in ("A4", "(C5xC5):C3"):
-        theorems._reference(key)  # built before the count, tables and all
-    groups, tables = [], []
+def _recording_generate_group(monkeypatch) -> list:
+    """The groups the CLI closes from files, recorded as it builds them."""
+    groups = []
     monkeypatch.setattr(commprob.cli, "generate_group", lambda *a, **k: groups.append(
         generate_group(*a, **k)) or groups[-1])
-    full = commprob.perm.FiniteGroup.multiplication_table
-    monkeypatch.setattr(commprob.perm.FiniteGroup, "multiplication_table",
-                        lambda G: tables.append(G.order) or full(G))
+    return groups
+
+
+def _rows_built(G) -> int:
+    return sum(r is not None for r in G._rows)
+
+
+def test_analyze_s6_builds_no_table(tmp_path, monkeypatch, capsys):
+    # S6 read from a file: every statement is decided from rows and columns
+    # built on first use, fewer than 360 of the 2 * 720 in all
+    text, args, sha = ANALYZE_GOLDEN[".perfbench_work/s6.grp"]
+    for key in ("A4", "(C5xC5):C3"):
+        theorems._reference(key)  # built before the count
+    groups = _recording_generate_group(monkeypatch)
     monkeypatch.chdir(tmp_path)
     Path("s6.grp").write_text(text)
     assert main(["analyze", "s6.grp", *args]) == 0
     (G,) = groups
-    assert G.order == 720 and tables == []
-    built = sum(r is not None for r in G._rows) + sum(c is not None for c in G._cols)
-    assert built < 360
+    assert G.order == 720
+    assert _rows_built(G) + sum(c is not None for c in G._cols) < 360
     capsys.readouterr()
+
+
+def test_isoclinic_reads_rows_of_few_elements(tmp_path, monkeypatch, capsys):
+    # S6 against S6 x C2, witness and all: the isomorphism search and the walk
+    # over the derived subgroups read generators' rows and columns, and the
+    # rows of fewer than |H| elements of either group are ever built
+    groups = _recording_generate_group(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    Path("s6.grp").write_text("6\n1 2 3 4 5 0\n1 0 2 3 4 5\n")
+    Path("s6c2.grp").write_text("8\n1 2 3 4 5 0 6 7\n1 0 2 3 4 5 6 7\n0 1 2 3 4 5 7 6\n")
+    assert main(["isoclinic", "s6.grp", "s6c2.grp", "--witness"]) == 0
+    assert json.loads(capsys.readouterr().out)["isoclinic"] is True
+    G, H = groups
+    assert (G.order, H.order) == (720, 1440)
+    assert _rows_built(G) < G.order and _rows_built(H) < H.order
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # an address-space limit above what Python needs to start and import the
+    # package, far below what closing C5000 on 5,000 points needs (about
+    # 200 MB of image tuples): the MemoryError is an input error, not a
+    # failed verdict, and no traceback reaches stderr
+    resource = pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(commprob.__file__).parents[1]))
+    probe = "import commprob.cli; print(open('/proc/self/status').read())"
+    status = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    vm_peak_kb = int(next(line for line in status.splitlines()
+                          if line.startswith("VmPeak:")).split()[1])
+    limit = (vm_peak_kb + 40_000) * 1024
+    n = 5000
+    (tmp_path / "c5000.grp").write_text(f"{n}\n" + " ".join(str((i + 1) % n) for i in range(n)))
+    run = subprocess.run(
+        [sys.executable, "-m", "commprob.cli", "analyze", "c5000.grp"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("cap", ["0", "-5", "65537", "100000"])

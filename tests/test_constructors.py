@@ -27,6 +27,7 @@ from commprob.structure import (
 
 from oracles import (
     are_isomorphic,
+    cayley_table,
     gl_order,
     oracle_is_group_table,
     oracle_perm_order,
@@ -148,6 +149,16 @@ def test_semidirect_rejects_non_automorphism(cat):
     assert "automorphism" in str(err.value)
 
 
+def test_semidirect_checks_the_action_on_every_generator_of_n(cat):
+    # a bijection of C2xC4 that respects products with N's first generator
+    # but not with its second: every generator's row is checked
+    n = cat["C2xC4"]
+    assert n.generating_indices() == (4, 1)
+    broken = (0, 1, 2, 5, 6, 7, 4, 3)
+    with pytest.raises(GroupError, match="is not an automorphism: image of 1"):
+        semidirect_product(n, cyclic(2), ActionSpec((1,), (broken,)))
+
+
 def test_semidirect_rejects_wrong_order_action(cat):
     # an order-2 automorphism assigned to a generator of C3 cannot extend
     v4 = cat["C2xC2"]
@@ -168,6 +179,16 @@ def test_semidirect_rejects_a_generator_acting_two_ways(cat):
     assert "psi(0*1)" in str(err.value)
 
 
+def test_semidirect_names_the_acting_generator_that_clashes(cat):
+    # C4 acted on by 2 (trivially) and 1 (by an automorphism of order 3): the
+    # walk meets 2 first as 1*1, then the relation at generator 1 clashes,
+    # and the message names generator 1, not the first listed
+    rotate = automorphism_from_generator_images(cat["C2xC2"], [1, 2], [2, 3])
+    action = ActionSpec((2, 1), (tuple(range(4)), rotate))
+    with pytest.raises(GroupError, match=r"relation psi\(1\*1\) = psi\(1\)\*psi\(1\) fails"):
+        semidirect_product(cat["C2xC2"], cyclic(4), action)
+
+
 def test_semidirect_rejects_non_generating_set(cat):
     v4 = cat["C2xC2"]
     c4 = cyclic(4)
@@ -180,7 +201,7 @@ def test_semidirect_rejects_non_generating_set(cat):
 def test_semidirect_unfilled_row_is_a_group_error():
     # N's recorded generator 2 generates only {0, 2} of C4, so right
     # multiplication from the generator rows leaves rows of the product empty
-    N = perm.FiniteGroup._over_table(cyclic(4).multiplication_table(), (2,))
+    N = perm.FiniteGroup._over_table(cayley_table(cyclic(4)), (2,))
     H = cyclic(2)
     with pytest.raises(GroupError, match="do not generate"):
         semidirect_product(N, H, trivial_action(N, H))
@@ -193,11 +214,26 @@ def test_semidirect_product_holds_only_its_graph_rows():
     gens = G.generating_indices()
     built = {i for i, row in enumerate(G._rows) if row is not None}
     assert built <= {0, *gens, *map(G.inv, gens)}
-    assert len(G.multiplication_table()) == 375
+    assert len(cayley_table(G)) == 375
+
+
+def test_semidirect_product_reads_rows_of_few_elements(monkeypatch):
+    # C2^3 : C7 is built, its action checked and its generators' rows written
+    # from the rows and columns of generators of N and H: fewer than |N| rows
+    # of N and fewer than |H| of H are ever built
+    built = []
+    original = constructors.semidirect_product
+    monkeypatch.setattr(constructors, "semidirect_product", lambda N, H, action, **kwargs: (
+        built.append((N, H)) or original(N, H, action, **kwargs)))
+    G = named("C2^3:C7")
+    ((N, H),) = built
+    assert (G.order, N.order, H.order) == (56, 8, 7)
+    for group in (N, H):
+        assert sum(row is not None for row in group._rows) < group.order
 
 
 def table_lists(G):
-    return [row.tolist() for row in G.multiplication_table()]
+    return [row.tolist() for row in cayley_table(G)]
 
 
 def test_catalog_semidirect_products_match_oracle_table(monkeypatch):
@@ -293,7 +329,7 @@ def test_catalog_golden_dump(cat):
     for name in catalog_keys():
         G = cat[name]
         images = [p.images for p in G.elements]
-        last_row = G.multiplication_table()[-1].tolist()
+        last_row = cayley_table(G)[-1].tolist()
         digest.update(repr((name, G.degree, images, G.generating_indices(), last_row)).encode())
     assert digest.hexdigest() == CATALOG_SHA256
 
@@ -302,7 +338,7 @@ def test_catalog_tables_are_group_tables(cat):
     # no constructor checks the rows it hands over; these are its tables
     for name, G in cat.items():
         if G.order <= 75:
-            assert oracle_is_group_table(G.multiplication_table()), name
+            assert oracle_is_group_table(cayley_table(G)), name
 
 
 @pytest.mark.parametrize(

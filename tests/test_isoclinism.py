@@ -21,6 +21,7 @@ from commprob.theorems import analyze
 
 from oracles import (
     are_isomorphic,
+    cayley_table,
     find_isomorphism,
     oracle_commutator_pairing,
     oracle_find_isoclinism,
@@ -127,9 +128,9 @@ def brute_force_generator_map(G, gens, H, images):
 def test_extend_generator_map_matches_brute_force(spec):
     G, gens, H, images = spec
     expected = brute_force_generator_map(G, gens, H, images)
-    rows_h = H.multiplication_table()
+    rows_h = cayley_table(H)
     phi, clash = _extend_map(
-        G.multiplication_table(), G.identity_index, gens, images,
+        [G.column(g) for g in gens], G.order, images,
         lambda px, mg: rows_h[px][mg], H.identity_index,
     )
     assert (phi if clash is None else None) == expected

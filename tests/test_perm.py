@@ -21,7 +21,7 @@ from commprob.perm import (
     generate_group,
 )
 
-from oracles import oracle_orbit, oracle_perm_order, oracle_semidirect_table
+from oracles import cayley_table, oracle_orbit, oracle_perm_order, oracle_semidirect_table
 from strategies import generator_sets as shared_generator_sets
 
 THREE_CYCLE = Permutation([1, 2, 0])
@@ -129,7 +129,7 @@ def test_closure_exhaustive_small_catalog(cat):
     for name, G in cat.items():
         if G.order > 200:
             continue
-        table = G.multiplication_table()
+        table = cayley_table(G)
         n = G.order
         assert all(0 <= table[i][j] < n for i in range(n) for j in range(n)), name
 
@@ -137,7 +137,7 @@ def test_closure_exhaustive_small_catalog(cat):
 def test_mul_table_matches_direct_composition(cat):
     for name in ("S3", "A4", "Q8", "C7:C3"):
         G = cat[name]
-        table = G.multiplication_table()
+        table = cayley_table(G)
         for i in range(G.order):
             for j in range(G.order):
                 expected = G.index_of(G.elements[i] * G.elements[j])
@@ -212,7 +212,7 @@ def test_kernel_matches_permutation_products(spec):
             assert G.mul(i, j) == G.index_of(els[i] * els[j])
     # inverses and orders, read off the table, for G and for the group its
     # table gives (whose elements are G's right regular permutations)
-    table_given = FiniteGroup._over_table(G.multiplication_table(), G.generating_indices())
+    table_given = FiniteGroup._over_table(cayley_table(G), G.generating_indices())
     for group in (G, table_given):
         for i in range(group.order):
             p = group.elements[i]
@@ -227,7 +227,7 @@ def test_element_is_the_kept_permutation_or_a_column():
     assert [S4.element(i) for i in range(24)] == list(S4.elements)
     for name in ("Q8", "C7:C3"):
         G = named(name)
-        rows = G.multiplication_table()
+        rows = cayley_table(G)
         columns = [G.element(i) for i in range(G.order)]
         assert [p.images for p in columns] == [tuple(r[i] for r in rows) for i in range(G.order)]
         assert columns == list(G.elements), name
@@ -243,7 +243,7 @@ def test_kernel_on_the_smallest_groups(degree):
     # itemgetter would return a scalar, and it never reaches a new row
     ident = Permutation(range(degree))
     G = generate_group(degree, [ident, Permutation(reversed(range(degree)))])
-    assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
+    assert [row.tolist() for row in cayley_table(G)] == composed_table(G)
 
 
 def test_kernel_skips_identity_generators():
@@ -251,9 +251,9 @@ def test_kernel_skips_identity_generators():
     ident = Permutation(range(4))
     G = generate_group(4, [ident, *A4_GENS, ident])
     assert G.generating_indices()[0] == G.identity_index
-    assert [row.tolist() for row in G.multiplication_table()] == composed_table(G)
+    assert [row.tolist() for row in cayley_table(G)] == composed_table(G)
     bare = generate_group(4, [ident, A4_GENS[0], ident, A4_GENS[1]])
-    assert bare.multiplication_table() == G.multiplication_table()
+    assert cayley_table(bare) == cayley_table(G)
 
 
 def test_first_use_from_several_threads_sees_a_whole_table():
@@ -263,7 +263,7 @@ def test_first_use_from_several_threads_sees_a_whole_table():
     # building (staggered starts)
     s5_gens = [Permutation([1, 2, 3, 4, 0]), Permutation([1, 0, 2, 3, 4])]
     reference = generate_group(5, s5_gens)
-    table = reference.multiplication_table()
+    table = cayley_table(reference)
     columns = [array("H", [row[g] for row in table]) for g in range(120)]
     expected = (list(table), columns, [reference.inv(i) for i in range(120)], table)
     interval = sys.getswitchinterval()
@@ -281,7 +281,7 @@ def test_first_use_from_several_threads_sees_a_whole_table():
                 cols = {g: G.column(g) for g in reversed(order)}
                 seen.append((
                     [rows[i] for i in range(G.order)], [cols[g] for g in range(G.order)],
-                    [G.inv(i) for i in range(G.order)], G.multiplication_table(),
+                    [G.inv(i) for i in range(G.order)], cayley_table(G),
                 ))
 
             threads = [threading.Thread(target=use, args=(k,)) for k in range(8)]
@@ -300,7 +300,7 @@ def _given_by_rows():
     cyclic groups, Q8 (the right regular permutations of a fresh copy's
     table, composed) and semidirect products (the oracle's formula)."""
     groups = [(cyclic(n), [[(i + j) % n for j in range(n)] for i in range(n)]) for n in (1, 2, 6)]
-    q8 = named("Q8").multiplication_table()
+    q8 = cayley_table(named("Q8"))
     regular = [Permutation([row[i] for row in q8]) for i in range(8)]
     index = {p.images: i for i, p in enumerate(regular)}
     groups.append((named("Q8"), [[index[(p * q).images] for q in regular] for p in regular]))
@@ -335,8 +335,8 @@ def test_lazy_rows_and_columns_match_the_oracle(spec, requests):
         else:
             assert G.column(x).tolist() == [products[y][x] for y in range(n)]
         assert products[x][G.inv(x)] == 0
-    assert G.multiplication_table() == fresh.multiplication_table()
-    assert [row.tolist() for row in G.multiplication_table()] == products
+    assert cayley_table(G) == cayley_table(fresh)
+    assert [row.tolist() for row in cayley_table(G)] == products
 
 
 def test_deep_rows_and_columns_keep_only_what_they_need():
@@ -424,12 +424,12 @@ def test_rows_whose_generators_do_not_generate_are_refused_on_first_use():
     # reaches 2 of 6 elements, so the graph is refused instead of giving
     # wrong inverses and rows
     S3 = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])])
-    full = S3.multiplication_table()
+    full = cayley_table(S3)
     t = S3.index_of(Permutation([1, 0, 2]))
     rows = [None] * 6
     rows[0], rows[t] = full[0], full[t]
     G = FiniteGroup._over_table(rows, [t])
-    for first_use in (lambda: G.inv(2), lambda: G.row(5), G.multiplication_table):
+    for first_use in (lambda: G.inv(2), lambda: G.row(5), lambda: cayley_table(G)):
         with pytest.raises(GroupError, match="do not generate"):
             first_use()
 
