@@ -18,7 +18,6 @@ from .structure import (
     Subgroup,
     center,
     conjugacy_classes,
-    derived_series,
     derived_subgroup,
     find_complement,
     is_abelian,
@@ -26,7 +25,6 @@ from .structure import (
     is_normal,
     is_solvable,
     is_supersolvable,
-    lower_central_series,
     normal_closure,
     normal_subgroups,
     subgroup_generated,

@@ -1,16 +1,18 @@
 """Subgroup-level structure of finite permutation groups.
 
-Centers, conjugacy classes, derived and normal structure,
-quotients, complements, and the solvable / nilpotent / supersolvable
-classifiers.  Everything operates on element indices of an immutable
-:class:`~commprob.perm.FiniteGroup`; results are memoized on the group.
+Centers, conjugacy classes, derived and normal structure, quotients,
+complements, and one chief series with the solvable / nilpotent /
+supersolvable classifiers read off it.  Everything operates on element
+indices of an immutable :class:`~commprob.perm.FiniteGroup`; results are
+memoized on the group.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd, isqrt
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits, _section_steps
 
@@ -219,33 +221,62 @@ def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure(G, [x for o in orbits for x in o])[0])
 
 
+def _atoms(G: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """{members: r} for the atoms, the subgroups generated by one conjugacy
+    class each, r the representative of the first class that generates the
+    atom; memoized.  A normal subgroup contains the atom iff it contains r.
+    A generator x^k of <x> (k prime to the order of x) generates the same
+    atom as x, so after each atom the classes of r's generating powers,
+    walked along column r, are skipped: one closure per cyclic subgroup."""
+
+    def compute():
+        atoms, done = {}, bytearray(G.order)
+        for c in conjugacy_classes(G):
+            if not any(map(done.__getitem__, c.members)):
+                r = c.representative
+                atoms.setdefault(_closure(G, c.members)[0], r)
+                powers, col = [r], G.column(r)
+                while (y := col[powers[-1]]) != G.identity_index:
+                    powers.append(y)
+                order = len(powers) + 1
+                for k, y in enumerate(powers, 1):
+                    if gcd(k, order) == 1:
+                        done[y] = 1
+        return atoms
+
+    return _cached(G, "atoms", compute)
+
+
+def _joins(G: FiniteGroup, a: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(r, AB) for each atom B (:func:`_atoms`, r its representative) not
+    inside the normal subgroup A with members a.  The join of normal A and B
+    is the product set AB, grown as a union of right cosets A y, one for
+    each y in B not yet covered, read by :func:`_right_coset`."""
+    inside, coset = set(a), _right_coset(G, a)
+    for b, r in _atoms(G).items():
+        if r not in inside:
+            covered = set(inside)
+            for y in b:
+                if y not in covered:
+                    covered.update(coset(y))
+            yield r, tuple(sorted(covered))
+
+
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups, sorted by order then member set.  Each is a join
-    of atoms (the subgroups generated by single conjugacy classes), and the
-    join of normal A and B is the product set AB, so the atoms are closed
-    under joining with one atom at a time.  AB is grown as a union of right
-    cosets A y, one for each y in B not yet covered, read by
-    :func:`_right_coset`.
+    of atoms, so they are walked from the trivial subgroup by joining one
+    atom at a time (:func:`_joins`).
     No standalone group is built per N: :func:`subgroup_gens`,
     :func:`subgroup_class_count` and :func:`subgroup_is_abelian` work in G's table."""
 
     def compute():
-        atoms = {(G.identity_index,)}
-        atoms.update(_closure(G, c.members)[0] for c in conjugacy_classes(G))
-        atoms = [b for b in atoms if len(b) < G.order]
-        found = set(atoms) | {tuple(range(G.order))}
-        walk = list(atoms)
+        found = {(G.identity_index,)}
+        walk = list(found)
         for a in walk:  # also visits what the loop appends
-            coset = _right_coset(G, a)
-            for b in atoms:
-                covered = set(a)
-                for y in b:
-                    if y not in covered:
-                        covered.update(coset(y))
-                if (joined := tuple(sorted(covered))) not in found:
+            for _, joined in _joins(G, a):
+                if joined not in found:
                     found.add(joined)
-                    if len(joined) < G.order:
-                        walk.append(joined)
+                    walk.append(joined)
         return [Subgroup(G, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
     return _cached(G, "normal_subgroups", compute)
@@ -303,98 +334,67 @@ def commutator(G: FiniteGroup, a: int, b: int) -> int:
     return G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
 
 
-def _commutator_closure(G: FiniteGroup, a_gens: Sequence[int], b_gens: Sequence[int]) -> Subgroup:
-    """[A, B] for A, B normal in G with the given generators: the normal
-    closure of the commutators [a, b] of their generators.  Every term of
-    the derived and lower central series is normal in G, so each next term
-    is found this way inside G (the derived subgroup H' of such a term H is
-    normal in G and contains the normal closure, which contains H')."""
-    return normal_closure(G, {commutator(G, a, b) for a in a_gens for b in b_gens})
-
-
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators."""
+    """Subgroup generated by all commutators: the normal closure of the
+    commutators of G's generators."""
 
     def compute():
         gens = G.generating_indices()
-        return _commutator_closure(G, gens, gens)
+        return normal_closure(G, {commutator(G, a, b) for a in gens for b in gens})
 
     return _cached(G, "derived", compute)
 
 
-def _series(G: FiniteGroup, step: Callable[[Subgroup], Subgroup]) -> list[Subgroup]:
-    """G = S0 >= S1 >= ... with S(i+1) = step(Si), until a term is trivial
-    or repeats the one before it."""
-    series = [Subgroup(G, range(G.order))]
-    while not series[-1].is_trivial():
-        nxt = step(series[-1])
-        if nxt.member_indices == series[-1].member_indices:
-            break
-        series.append(nxt)
-    return series
+# -- the chief series and the classifiers ---------------------------------------
 
 
-def derived_series(G: FiniteGroup) -> list[Subgroup]:
-    """G >= G' >= G'' >= ... until the series stabilizes; each term's derived
-    subgroup is computed inside G, from that term's generators."""
+def _chief_factors(G: FiniteGroup) -> list[tuple[int, bool]]:
+    """(order, central) for each factor M/C of one chief series of G, from
+    the bottom; memoized.  From C = 1, the next term M is the smallest join
+    CB over an atom B (:func:`_joins`): every normal subgroup properly over C
+    contains such a join, so M is minimal normal over C.  M/C is generated
+    by the image of B's representative r, so it is central in G/C iff
+    [r, g] lies in C for each generator g.  By Jordan-Hoelder for operator
+    groups, all chief series have the same factors."""
 
-    def step(H: Subgroup) -> Subgroup:
-        if H.is_whole():
-            return derived_subgroup(G)
-        hg = subgroup_gens(G, H)
-        return _commutator_closure(G, hg, hg)
+    def compute():
+        factors, c, gens = [], (G.identity_index,), G.generating_indices()
+        while len(c) < G.order:
+            r, m = min(_joins(G, c), key=lambda join: len(join[1]))
+            inside = set(c)
+            factors.append((len(m) // len(c), all(commutator(G, r, g) in inside for g in gens)))
+            c = m
+        return factors
 
-    return _series(G, step)
+    return _cached(G, "chief_factors", compute)
+
+
+def _prime_power(n: int) -> int:
+    """For n > 1: the prime p if n is a power of p, else 0."""
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else 0
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    return derived_series(G)[-1].is_trivial()
-
-
-def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
-    """G >= [G,G] >= [G,[G,G]] >= ... until the series stabilizes."""
-    gens = G.generating_indices()
-    return _series(G, lambda K: _commutator_closure(G, gens, subgroup_gens(G, K)))
+    """Every chief factor is abelian, that is of prime-power order: a
+    nonabelian one is a power of a nonabelian simple group, whose order has
+    three prime divisors or more (Burnside's p^a q^b theorem)."""
+    return all(_prime_power(order) for order, _ in _chief_factors(G))
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
-    return lower_central_series(G)[-1].is_trivial()
-
-
-# -- supersolvability ----------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Every chief factor is central: then the chief series is a central
+    series.  Conversely each factor M/C is minimal normal in G/C, and in a
+    nilpotent group every minimal normal subgroup is central."""
+    return all(central for _, central in _chief_factors(G))
 
 
 def is_supersolvable(G: FiniteGroup) -> bool:
-    """True iff some chain 1 = N0 < N1 < ... < Nk = G of normal subgroups of
-    G has every index [N(i+1) : N(i)] prime (Huppert, *Endliche Gruppen I*,
-    VI.9).  Every maximal such chain is a chief series, and by Jordan-Hoelder
-    for operator groups all chief series have the same factors, so one chain
-    decides: walking :func:`normal_subgroups` downwards from G, the first
-    subgroup properly inside the current term is a largest normal subgroup
-    under it and becomes the next term."""
-
-    def compute():
-        lattice = normal_subgroups(G)
-        current = lattice[-1]
-        for M in reversed(lattice):
-            if M.order < current.order and all(x in current for x in M.member_indices):
-                if not _is_prime(current.order // M.order):
-                    return False
-                current = M
-        return True
-
-    return _cached(G, "supersolvable", compute)
+    """Every chief factor has prime order (Huppert, *Endliche Gruppen I*,
+    VI.9)."""
+    return all(_prime_power(order) == order for order, _ in _chief_factors(G))
 
 
 # -- complements ---------------------------------------------------------------

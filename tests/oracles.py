@@ -219,6 +219,19 @@ def oracle_normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_chief_factor_orders(G: FiniteGroup) -> list[int]:
+    """The factor orders of a chief series read greedily off
+    :func:`oracle_normal_subgroups`: from 1, each next term is a smallest
+    normal subgroup properly containing the current one."""
+    normals = [set(n) for n in oracle_normal_subgroups(G)]
+    current, orders = {G.identity_index}, []
+    while len(current) < G.order:
+        nxt = min((n for n in normals if current < n), key=len)
+        orders.append(len(nxt) // len(current))
+        current = nxt
+    return orders
+
+
 def oracle_is_supersolvable(G: FiniteGroup) -> bool:
     """Huppert's criterion: every maximal subgroup has prime index (for
     order <= 24, where :func:`oracle_all_subgroups` is complete)."""

@@ -1,19 +1,21 @@
 import hashlib
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from commprob import structure
 from commprob.constructors import _dihedral, cyclic, direct_product, named
 from commprob.perm import GroupError, OrderCapExceeded, Permutation, generate_group
 from commprob.isomorphism import iter_isomorphisms
 from commprob.structure import (
     NotNormal,
     Subgroup,
+    _chief_factors,
     _coset_data,
     center,
     conjugacy_classes,
-    derived_series,
     derived_subgroup,
     find_complement,
     is_abelian,
@@ -21,7 +23,6 @@ from commprob.structure import (
     is_normal,
     is_solvable,
     is_supersolvable,
-    lower_central_series,
     normal_subgroups,
     subgroup_class_count,
     subgroup_generated,
@@ -34,6 +35,7 @@ from oracles import (
     are_isomorphic,
     oracle_center,
     oracle_centralizer,
+    oracle_chief_factor_orders,
     oracle_conjugacy_classes,
     oracle_coset_action,
     oracle_derived_members,
@@ -254,6 +256,22 @@ def test_normal_subgroups_of_elementary_abelian(n, subspaces):
     assert is_supersolvable(G)
 
 
+def test_one_atom_closure_per_cyclic_subgroup(monkeypatch):
+    # C60 has 60 classes but 12 cyclic subgroups, one per divisor of 60; the
+    # classes of x^k with k prime to the order of x are not closed again
+    closures = []
+
+    def counted(G, seeds):
+        closures.append(seeds)
+        return closure(G, seeds)
+
+    closure = structure._closure
+    monkeypatch.setattr(structure, "_closure", counted)
+    G = generate_group(60, [Permutation([(i + 1) % 60 for i in range(60)])])
+    assert len(normal_subgroups(G)) == 12
+    assert len(closures) <= 12
+
+
 # -- quotients read in G's table ------------------------------------------------
 
 
@@ -318,24 +336,32 @@ def test_coset_ids_match_oracle_coset_action(cat):
 # -- series and classifiers ----------------------------------------------------
 
 
-def test_derived_series_a4(cat):
-    assert [s.order for s in derived_series(cat["A4"])] == [12, 4, 1]
+def test_chief_factors_a4(cat):
+    # the Klein subgroup, not central, then A4/V4 of order 3, central there
+    assert _chief_factors(cat["A4"]) == [(4, False), (3, True)]
+
+
+def test_chief_factors_match_jordan_hoelder(cat):
+    for name, G in cat.items():
+        if G.order <= 24:
+            orders = [order for order, _ in _chief_factors(G)]
+            assert prod(orders) == G.order, name
+            assert sorted(orders) == sorted(oracle_chief_factor_orders(G)), name
 
 
 def check_series(G):
-    """Each derived series term against the oracle on the term before it, as
-    its own group; the last term is trivial or its own derived subgroup.
-    The lower central series against the oracle's, term by term."""
-
-    def derived(H):
-        return tuple(H.member_indices[i] for i in oracle_derived_members(oracle_subgroup(G, H)))
-
-    series = derived_series(G)
-    for H, K in zip(series, series[1:]):
-        assert K.member_indices == derived(H)
-    assert series[-1].is_trivial() or derived(series[-1]) == series[-1].member_indices
-    lower = [K.member_indices for K in lower_central_series(G)]
-    assert lower == oracle_lower_central_series(G)
+    """is_solvable against the derived series iterated with the oracle, each
+    term as its own group, until it is trivial or its own derived subgroup;
+    is_nilpotent against the oracle's lower central series."""
+    members = tuple(range(G.order))
+    while True:
+        H = Subgroup(G, members)
+        derived = tuple(members[i] for i in oracle_derived_members(oracle_subgroup(G, H)))
+        if derived == members:
+            break
+        members = derived
+    assert is_solvable(G) == (len(members) == 1)
+    assert is_nilpotent(G) == (len(oracle_lower_central_series(G)[-1]) == 1)
 
 
 def test_series_match_oracles(cat):
@@ -347,9 +373,8 @@ def test_solvability(cat):
     assert is_solvable(cat["C12"])
     assert is_solvable(cat["A4"])
     assert not is_solvable(cat["A5"])
-    # the series stabilizes at the whole group: A5 is perfect
-    series = derived_series(cat["A5"])
-    assert series[-1].order == 60
+    # A5 is perfect
+    assert derived_subgroup(cat["A5"]).order == 60
 
 
 def test_nilpotency(cat):
@@ -572,6 +597,7 @@ def groups_up_to_24(draw):
 @settings(deadline=None, max_examples=40)
 def test_random_groups_supersolvable_and_lattice_match_oracles(G):
     assert is_supersolvable(G) == oracle_is_supersolvable(G)
+    assert sorted(o for o, _ in _chief_factors(G)) == sorted(oracle_chief_factor_orders(G))
     got = [n.member_indices for n in normal_subgroups(G)]
     assert sorted(got) == oracle_normal_subgroups(G)
     subgroups = oracle_all_subgroups(G)
@@ -592,7 +618,7 @@ def groups_of_degree_2_to_5(draw):
 @settings(deadline=None, max_examples=30)
 def test_random_groups_in_table_invariants_match_oracles(G):
     check_in_table_invariants(G)
-    # the commutator closures: G' against the oracle, and every later term
-    # of both series (found inside G) against the oracles
+    # G' against the oracle, and the classifiers read off the chief series
+    # against both oracle series
     assert derived_subgroup(G).member_indices == oracle_derived_members(G)
     check_series(G)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commprob import theorems
+from commprob import structure, theorems
 from commprob.constructors import named
 from commprob.perm import FiniteGroup, GroupError, Permutation, generate_group
 from commprob.structure import (
@@ -92,6 +92,19 @@ def test_5_16_central_quotient_branch(cat, monkeypatch):
     assert v == Verdict("d>5/16", True, True, note="central quotient isoclinic to A4")
     assert calls == [None, center(a4)]
     assert verify_supersolvable_1_3(a4).note == "no branch holds"
+
+
+def test_5_16_decided_without_the_lattice(monkeypatch):
+    # supersolvability is read off one chief series: C2^5 (374 normal
+    # subgroups) gets its verdict without enumerating them
+    def refuse(G):
+        raise AssertionError("normal_subgroups called")
+
+    monkeypatch.setattr(structure, "normal_subgroups", refuse)
+    monkeypatch.setattr(theorems, "normal_subgroups", refuse)
+    swaps = [Permutation([j ^ 1 if j // 2 == i else j for j in range(10)]) for i in range(5)]
+    G = generate_group(10, swaps)  # the transpositions (2i 2i+1)
+    assert verify_supersolvable_5_16(G) == Verdict("d>5/16", True, True, note="supersolvable")
 
 
 def test_derived_bound_violated_is_a_failure(cat, monkeypatch):
