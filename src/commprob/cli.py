@@ -65,6 +65,16 @@ def _data_lines(text: str):
             yield lineno, line.split()
 
 
+def _entries(lineno: int, parts: list[str], n: int) -> list[int]:
+    """The n integers of a data line, with line-numbered errors."""
+    if len(parts) != n:
+        raise GroupFileError(lineno, f"expected {n} entries, found {len(parts)}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise GroupFileError(lineno, "entries must be integers") from None
+
+
 def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
     """Parse degree and generator permutations, with line-numbered errors."""
     degree: int | None = None
@@ -83,14 +93,7 @@ def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
                 message = f"degree {degree} exceeds the limit of {MAX_GROUP_ORDER}"
                 raise GroupFileError(lineno, message)
             continue
-        if len(parts) != degree:
-            raise GroupFileError(
-                lineno, f"expected {degree} entries, found {len(parts)}"
-            )
-        try:
-            values = [int(p) for p in parts]
-        except ValueError:
-            raise GroupFileError(lineno, "entries must be integers") from None
+        values = _entries(lineno, parts, degree)
         try:
             generators.append(Permutation(values))
         except GroupError as exc:
@@ -161,23 +164,22 @@ def _select_normal(G: FiniteGroup, spec: str) -> Subgroup:
     return matches[0]
 
 
-def _emit(obj: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(obj, indent=2), file=out)
+        print(json.dumps(obj, indent=2))
     else:
-        _emit_table(obj, out)
+        _emit_table(obj)
 
 
-def _emit_table(obj: dict, out) -> None:
+def _emit_table(obj: dict) -> None:
     for key, value in obj.items():
         if key == "verdicts":
-            print("verdicts:", file=out)
+            print("verdicts:")
             for v in value:
                 note = f"  ({v['note']})" if v["note"] else ""
-                print(f"  {Verdict(**v).state:7} {v['statement']}{note}", file=out)
+                print(f"  {Verdict(**v).state:7} {v['statement']}{note}")
         else:
-            print(f"{key}: {value}", file=out)
+            print(f"{key}: {value}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -303,14 +305,7 @@ def _parse_action_file(text: str, n_order: int, count: int) -> list[tuple[int, .
                     lineno, f"action is over {declared} indices but |N| = {n_order}"
                 )
             continue
-        if len(parts) != n_order:
-            raise GroupFileError(
-                lineno, f"expected {n_order} entries, found {len(parts)}"
-            )
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise GroupFileError(lineno, "entries must be integers") from None
+        rows.append(tuple(_entries(lineno, parts, n_order)))
     if declared is None:
         raise GroupFileError(1, "empty action file")
     if len(rows) != count:

@@ -236,11 +236,8 @@ def _c7_c3() -> FiniteGroup:
 
 def _c2cube_c7() -> FiniteGroup:
     n = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-    e1 = n.index_of(Permutation([1, 0, 2, 3, 4, 5]))
-    e2 = n.index_of(Permutation([0, 1, 3, 2, 4, 5]))
-    e3 = n.index_of(Permutation([0, 1, 2, 3, 5, 4]))
-    e1e2 = n.mul(e1, e2)
-    act = automorphism_from_generator_images(n, [e1, e2, e3], [e2, e3, e1e2])
+    e1, e2, e3 = n.generating_indices()  # one per factor, in order
+    act = automorphism_from_generator_images(n, [e1, e2, e3], [e2, e3, n.mul(e1, e2)])
     return semidirect_product(n, cyclic(7), ActionSpec((1,), (act,)))
 
 
@@ -248,16 +245,10 @@ def _c5c5() -> FiniteGroup:
     return direct_product(cyclic(5), cyclic(5))
 
 
-def _c5c5_gens(n55: FiniteGroup) -> tuple[int, int]:
-    e1 = n55.index_of(Permutation([1, 2, 3, 4, 0, 5, 6, 7, 8, 9]))
-    e2 = n55.index_of(Permutation([0, 1, 2, 3, 4, 6, 7, 8, 9, 5]))
-    return e1, e2
-
-
 def _c5c5_c3() -> FiniteGroup:
     """(C5 x C5) : C3 with a fixed-point-free order-3 action."""
     n55 = _c5c5()
-    e1, e2 = _c5c5_gens(n55)
+    e1, e2 = n55.generating_indices()  # one per factor, in order
     inv_e1e2 = n55.inv(n55.mul(e1, e2))
     act = automorphism_from_generator_images(n55, [e1, e2], [e2, inv_e1e2])
     return semidirect_product(n55, cyclic(3), ActionSpec((1,), (act,)))
@@ -273,7 +264,7 @@ def _c5c5_c15() -> FiniteGroup:
     quotient.  This is the unique order-375 group with 23 conjugacy classes.
     """
     n55 = _c5c5()
-    e1, e2 = _c5c5_gens(n55)
+    e1, e2 = n55.generating_indices()  # one per factor, in order
     shear = automorphism_from_generator_images(n55, [e1, e2], [e1, n55.mul(e1, e2)])
     heis = semidirect_product(n55, cyclic(5), ActionSpec((1,), (shear,)))
     x, y = e2 * 5, 1  # the embedded e2 and generator of C5

@@ -483,12 +483,17 @@ def _orbits(domain: Iterable[int], maps: Sequence[Sequence[int]], size: int) -> 
     return [_grow((x,), maps, seen) for x in domain if not seen[x]]
 
 
+def _powers(G: FiniteGroup, x: int) -> list[int]:
+    """x, x^2, ..., up to and including the identity, walked along column x;
+    as many as the order of x."""
+    col, powers = G.column(x), [x]
+    while powers[-1] != G.identity_index:
+        powers.append(col[powers[-1]])
+    return powers
+
+
 def element_order(G: FiniteGroup, x: int) -> int:
-    """Least m >= 1 with x^m equal to the identity: x's powers, walked along
-    column x."""
+    """Least m >= 1 with x^m equal to the identity (:func:`_powers`)."""
     if not 0 <= x < G.order:
         raise IndexError(f"element index {x} out of range for group of order {G.order}")
-    col, y, m = G.column(x), x, 1
-    while y != G.identity_index:
-        y, m = col[y], m + 1
-    return m
+    return len(_powers(G, x))

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits, _section_steps
+from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits, _powers, _section_steps
 
 
 class NotNormal(GroupError):
@@ -226,8 +226,9 @@ def _atoms(G: FiniteGroup) -> dict[tuple[int, ...], int]:
     class each, r the representative of the first class that generates the
     atom; memoized.  A normal subgroup contains the atom iff it contains r.
     A generator x^k of <x> (k prime to the order of x) generates the same
-    atom as x, so after each atom the classes of r's generating powers,
-    walked along column r, are skipped: one closure per cyclic subgroup."""
+    atom as x, so after each atom the classes of r's generating powers
+    (:func:`~commprob.perm._powers`) are skipped: one closure per cyclic
+    subgroup."""
 
     def compute():
         atoms, done = {}, bytearray(G.order)
@@ -235,12 +236,9 @@ def _atoms(G: FiniteGroup) -> dict[tuple[int, ...], int]:
             if not any(map(done.__getitem__, c.members)):
                 r = c.representative
                 atoms.setdefault(_closure(G, c.members)[0], r)
-                powers, col = [r], G.column(r)
-                while (y := col[powers[-1]]) != G.identity_index:
-                    powers.append(y)
-                order = len(powers) + 1
+                powers = _powers(G, r)
                 for k, y in enumerate(powers, 1):
-                    if gcd(k, order) == 1:
+                    if gcd(k, len(powers)) == 1:
                         done[y] = 1
         return atoms
 
@@ -350,17 +348,27 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 def _chief_factors(G: FiniteGroup) -> list[tuple[int, bool]]:
     """(order, central) for each factor M/C of one chief series of G, from
-    the bottom; memoized.  From C = 1, the next term M is the smallest join
-    CB over an atom B (:func:`_joins`): every normal subgroup properly over C
-    contains such a join, so M is minimal normal over C.  M/C is generated
-    by the image of B's representative r, so it is central in G/C iff
-    [r, g] lies in C for each generator g.  By Jordan-Hoelder for operator
-    groups, all chief series have the same factors."""
+    the bottom; memoized.  From C = 1, the next term M is a join CB over an
+    atom B (:func:`_joins`) minimal normal over C: the first of prime index
+    over C, which leaves no room for a subgroup in between, or else the
+    smallest, as every normal subgroup properly over C contains such a
+    join.  M/C is generated by the image of B's representative r, so it is
+    central in G/C iff [r, g] lies in C for each generator g.  By
+    Jordan-Hoelder for operator groups, all chief series have the same
+    factors."""
+
+    def next_term(c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        joins = []
+        for r, m in _joins(G, c):
+            if _prime_power(index := len(m) // len(c)) == index:
+                return r, m
+            joins.append((r, m))
+        return min(joins, key=lambda join: len(join[1]))
 
     def compute():
         factors, c, gens = [], (G.identity_index,), G.generating_indices()
         while len(c) < G.order:
-            r, m = min(_joins(G, c), key=lambda join: len(join[1]))
+            r, m = next_term(c)
             inside = set(c)
             factors.append((len(m) // len(c), all(commutator(G, r, g) in inside for g in gens)))
             c = m

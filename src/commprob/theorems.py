@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .perm import FiniteGroup, element_order
-from .constructors import named
+from .constructors import catalog_keys, named
 from .isoclinism import are_isoclinic, is_stem
 from .probability import (
     average_class_size,
@@ -114,7 +114,11 @@ def _reference(key: str) -> FiniteGroup:
 
 def _normal_descriptor(G: FiniteGroup, N: Subgroup) -> str:
     """``N=order<k>``, plus ``#<i>``, its place in lattice order, when G has
-    several normal subgroups of order k; a non-normal N gets the bare order."""
+    several normal subgroups of order k; a non-normal N gets the bare order.
+    A trivial or whole N is the only normal subgroup of its order, so it is
+    named without the lattice."""
+    if N.is_trivial() or N.is_whole():
+        return f"N=order{N.order}"
 
     def compute():
         by_order: dict[int, list[tuple[int, ...]]] = {}
@@ -261,7 +265,7 @@ def verify_klein_fixed_point(G: FiniteGroup, N: Subgroup) -> Verdict:
 # -- per-group aggregation -----------------------------------------------------
 
 
-def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE) -> GroupReport:
+def analyze(G: FiniteGroup, name: str = "") -> GroupReport:
     """Full report for one group: exact invariants, classifier flags, and
     every verdict the harness knows how to state about G."""
     d = commuting_probability(G)
@@ -332,7 +336,7 @@ def analyze(G: FiniteGroup, name: str = "", s_values: tuple[int, ...] = S_RANGE)
             continue
         if not subgroup_is_abelian(G, N):
             continue
-        verdicts.extend(_class_size_verdicts(G, N, s_values))
+        verdicts.extend(_class_size_verdicts(G, N, S_RANGE))
     for N in normal_subgroups(G):
         if _is_klein(G, N):
             verdicts.append(verify_klein_fixed_point(G, N))
@@ -355,20 +359,8 @@ def summarize(reports: list[GroupReport]) -> dict:
     }
 
 
-def run_catalog_verification(
-    names: list[str] | None = None,
-    s_values: tuple[int, ...] = S_RANGE,
-) -> tuple[list[GroupReport], dict]:
-    """Analyze every catalog group (or the named subset, kept in canonical
-    catalog order) and summarize all verdicts; an unknown name is refused."""
-    from .constructors import catalog_keys
-
-    keys = catalog_keys()
-    if names is not None:
-        unknown = [n for n in names if n not in keys]
-        if unknown:
-            named(unknown[0])  # raises the catalog-key error, listing the known keys
-        wanted = set(names)
-        keys = [k for k in keys if k in wanted]
-    reports = [analyze(named(k), name=k, s_values=s_values) for k in keys]
+def run_catalog_verification() -> tuple[list[GroupReport], dict]:
+    """Analyze every catalog group, in canonical order, and summarize all
+    verdicts."""
+    reports = [analyze(named(k), name=k) for k in catalog_keys()]
     return reports, summarize(reports)

@@ -15,7 +15,7 @@ from commprob.cli import (
 )
 import commprob
 from commprob import theorems
-from commprob.constructors import ActionSpec, cyclic, semidirect_product
+from commprob.constructors import ActionSpec, cyclic, named, semidirect_product
 from commprob.isoclinism import find_isoclinism
 from commprob.perm import Permutation, generate_group
 
@@ -256,6 +256,31 @@ def test_verify_normal_selector_errors(capsys):
     assert "matches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, order, skip", [
+    ("C2xC2xC2", 8, "N is the whole group"),
+    ("S3", 1, "N is trivial"),
+])
+def test_class_size_names_a_whole_or_trivial_n_without_the_lattice(
+    name, order, skip, monkeypatch, capsys
+):
+    def refuse(G):
+        raise AssertionError("the normal-subgroup lattice was built")
+
+    monkeypatch.setattr(theorems, "normal_subgroups", refuse)
+    argv = ["verify", "--theorem", "class-size", "--normal", "center", "--name", name]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "\n".join([
+        "{",
+        f'  "name": "{name}",',
+        f'  "statement": "d>1/4:class-in-N;N=order{order}",',
+        '  "applicable": false,',
+        '  "holds": true,',
+        '  "precondition_ok": false,',
+        f'  "note": "precondition: {skip}"',
+        "}\n",
+    ])
+
+
 def test_verify_unknown_name_exit_2(capsys):
     assert main(["analyze", "--name", "NOPE"]) == 2
     analyze_err = _single_line_error(capsys)
@@ -435,8 +460,6 @@ def test_construct_semidirect_builds_a4(tmp_path, capsys):
     degree, gens = parse_group_file(out.read_text())
     G = generate_group(degree, gens)
     assert G.order == 12
-    from commprob.constructors import named
-
     assert are_isomorphic(G, named("A4"))
 
 
@@ -454,8 +477,6 @@ def test_construct_semidirect_from_group_files(tmp_path, capsys):
     )
     assert code == 0
     degree, gens = parse_group_file(out.read_text())
-    from commprob.constructors import named
-
     assert are_isomorphic(generate_group(degree, gens), named("A4"))
 
 
@@ -714,8 +735,8 @@ def test_verify_table_failures_exit_1(no_branch_holds, capsys):
         "   FAIL d>=1/3 no branch holds",
         "summary: 1 groups, 19 verdicts, 13 applicable, 2 failures",
     ]
-    reports, summary = theorems.run_catalog_verification(names=["A4"])
-    assert summary["failures"] == 2
+    reports = [theorems.analyze(named("A4"), name="A4")]
+    assert theorems.summarize(reports)["failures"] == 2
     assert [v.statement for v in reports[0].theorem_verdicts if v.is_failure()] == [
         "d>5/16",
         "d>=1/3",

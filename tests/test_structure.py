@@ -349,6 +349,24 @@ def test_chief_factors_match_jordan_hoelder(cat):
             assert sorted(orders) == sorted(oracle_chief_factor_orders(G)), name
 
 
+def test_chief_series_takes_the_first_prime_index_join(monkeypatch):
+    # in C2^6 every join over C has index 2, so each of the 6 steps takes its
+    # first join; the smallest of all would read 63 + 62 + 60 + 56 + 48 + 32
+    consumed = []
+
+    def counted(G, a):
+        for join in joins(G, a):
+            consumed.append(join)
+            yield join
+
+    joins = structure._joins
+    monkeypatch.setattr(structure, "_joins", counted)
+    G = generate_group(12, [Permutation([j ^ 1 if j // 2 == i else j for j in range(12)])
+                            for i in range(6)])
+    assert _chief_factors(G) == [(2, True)] * 6
+    assert len(consumed) == 6
+
+
 def check_series(G):
     """is_solvable against the derived series iterated with the oracle, each
     term as its own group, until it is trivial or its own derived subgroup;
