@@ -164,7 +164,7 @@ def _select_normal(G: FiniteGroup, spec: str) -> Subgroup:
     return matches[0]
 
 
-def _emit(obj: dict, fmt: str) -> None:
+def _emit(obj: dict | list, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, indent=2))
     else:
@@ -192,32 +192,32 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _single_verdict(args, G: FiniteGroup, label: str) -> Verdict:
-    theorem = args.theorem
-    if theorem == "5/16":
-        return verify_supersolvable_5_16(G)
-    if theorem == "1/3":
-        return verify_supersolvable_1_3(G)
-    if theorem == "odd":
-        return verify_odd_35_243(G)
-    if theorem == "class-size":
-        if args.normal is None:
-            raise GroupError("--theorem class-size needs --normal")
-        return verify_class_size_theorem(G, _select_normal(G, args.normal), args.s)
-    if theorem == "klein":
-        if args.normal is None:
-            raise GroupError("--theorem klein needs --normal")
-        return verify_klein_fixed_point(G, _select_normal(G, args.normal))
-    if theorem == "oracle":
-        d = commuting_probability(G)
-        oracle = commuting_pairs_oracle(G, max_order=args.oracle_cap)
-        return Verdict(
-            "d==commuting-pairs/|G|^2",
-            True,
-            d == oracle,
-            note=f"d={d.numerator}/{d.denominator}",
-        )
-    raise GroupError(f"unknown theorem selector {theorem!r}")
+def _normal(G: FiniteGroup, args) -> Subgroup:
+    if args.normal is None:
+        raise GroupError(f"--theorem {args.theorem} needs --normal")
+    return _select_normal(G, args.normal)
+
+
+def _oracle_verdict(G: FiniteGroup, args) -> Verdict:
+    d = commuting_probability(G)
+    oracle = commuting_pairs_oracle(G, max_order=args.oracle_cap)
+    return Verdict(
+        "d==commuting-pairs/|G|^2",
+        True,
+        d == oracle,
+        note=f"d={d.numerator}/{d.denominator}",
+    )
+
+
+# verify --theorem's choices besides "all", each with its verdict builder
+_THEOREMS = {
+    "5/16": lambda G, args: verify_supersolvable_5_16(G),
+    "1/3": lambda G, args: verify_supersolvable_1_3(G),
+    "odd": lambda G, args: verify_odd_35_243(G),
+    "class-size": lambda G, args: verify_class_size_theorem(G, _normal(G, args), args.s),
+    "klein": lambda G, args: verify_klein_fixed_point(G, _normal(G, args)),
+    "oracle": _oracle_verdict,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -229,7 +229,7 @@ def _cmd_verify(args) -> int:
         raise GroupError("verify --all runs every theorem; it takes no --theorem")
     if args.theorem != "all":
         G, label = _load_group(args)
-        verdict = _single_verdict(args, G, label)
+        verdict = _THEOREMS[args.theorem](G, args)
         payload = {"name": label, **verdict.to_dict()}
         _emit(payload, args.format)
         return 1 if verdict.is_failure() else 0
@@ -279,11 +279,9 @@ def _cmd_isoclinic(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.catalog_cmd != "list":
-        raise GroupError("unknown catalog subcommand")
     orders = catalog_orders()
     if args.format == "json":
-        print(json.dumps([{"name": k, "order": orders[k]} for k in catalog_keys()], indent=2))
+        _emit([{"name": k, "order": orders[k]} for k in catalog_keys()], "json")
     else:
         for k in catalog_keys():
             print(f"{orders[k]:5}  {k}")
@@ -316,8 +314,6 @@ def _parse_action_file(text: str, n_order: int, count: int) -> list[tuple[int, .
 
 
 def _cmd_construct(args) -> int:
-    if args.construct_cmd != "semidirect":
-        raise GroupError("unknown construct subcommand")
     keys = catalog_orders()  # --n and --h are each a catalog key or a path
     N, H = (_group(s if s in keys else None, s, args.max_order) for s in (args.n, args.h))
     if args.h_gens is not None:
@@ -360,30 +356,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
-    common.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    common.add_argument("--format", choices=("json", "table"), default="json")
+    max_order = argparse.ArgumentParser(add_help=False)
+    max_order.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("analyze", parents=[common], help="full report for one group")
+    p = sub.add_parser("analyze", parents=[max_order, fmt], help="full report for one group")
     p.add_argument("path", nargs="?", help="group file")
     p.add_argument("--name", help="catalog key")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("verify", parents=[common], help="run theorem verifiers")
+    p = sub.add_parser("verify", parents=[max_order, fmt], help="run theorem verifiers")
     p.add_argument("path", nargs="?", help="group file")
     p.add_argument("--name", help="catalog key")
     p.add_argument("--all", action="store_true", help="whole catalog")
-    p.add_argument(
-        "--theorem",
-        choices=("all", "5/16", "1/3", "odd", "class-size", "klein", "oracle"),
-        default="all",
-    )
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--theorem", choices=("all", *_THEOREMS), default="all")
     p.add_argument("--s", type=int, default=4, help="threshold s for class-size")
     p.add_argument("--normal", help="center | derived | klein | <order>")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("isoclinic", parents=[common], help="decide isoclinism")
+    p = sub.add_parser("isoclinic", parents=[max_order, fmt], help="decide isoclinism")
     p.add_argument("path", nargs="?", help="first group file")
     p.add_argument("path2", nargs="?", help="second group file")
     p.add_argument("--name", help="first catalog key")
@@ -391,11 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="emit the witness maps")
     p.set_defaults(func=_cmd_isoclinic)
 
-    p = sub.add_parser("catalog", parents=[common], help="catalog access")
+    p = sub.add_parser("catalog", parents=[fmt], help="catalog access")
     p.add_argument("catalog_cmd", choices=("list",))
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("construct", parents=[common], help="build product groups")
+    p = sub.add_parser("construct", parents=[max_order], help="build product groups")
     p.add_argument("construct_cmd", choices=("semidirect",))
     p.add_argument("--n", required=True, help="normal factor: catalog key or file")
     p.add_argument("--h", required=True, help="acting factor: catalog key or file")
@@ -415,9 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.max_order <= MAX_GROUP_ORDER:
+        if not 1 <= getattr(args, "max_order", 1) <= MAX_GROUP_ORDER:
             raise GroupError(f"--max-order must be in 1..{MAX_GROUP_ORDER}, not {args.max_order}")
-        if args.oracle_cap < 1:
+        if getattr(args, "oracle_cap", 1) < 1:
             raise GroupError(f"--oracle-cap must be at least 1, not {args.oracle_cap}")
         if getattr(args, "s", 2) < 2:
             raise GroupError(f"--s must be at least 2, not {args.s}")

@@ -695,6 +695,37 @@ def test_oracle_cap_below_one_exit_2(cap, capsys):
     assert capsys.readouterr().err == f"error: --oracle-cap must be at least 1, not {cap}\n"
 
 
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    dead = [
+        ["analyze", "--name", "A4", "--oracle-cap", "5"],
+        ["isoclinic", "--name", "A4", "--name2", "C2xA4", "--oracle-cap", "5"],
+        ["catalog", "list", "--oracle-cap", "5"],
+        ["catalog", "list", "--max-order", "5"],
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--describe", "--oracle-cap", "5"],
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--describe", "--format", "json"],
+    ]
+    for argv in dead:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert f"unrecognized arguments: {argv[-2]}" in err, argv
+    # each command's kept option, set to its default, leaves the output as it is
+    kept = [
+        (["analyze", "--name", "A4"], ["--max-order", "5000"]),
+        (["verify", "--theorem", "oracle", "--name", "Q8"], ["--oracle-cap", "500"]),
+        (["isoclinic", "--name", "A4", "--name2", "C2xA4"], ["--format", "json"]),
+        (["catalog", "list"], ["--format", "json"]),
+        (["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--describe"],
+         ["--max-order", "5000"]),
+    ]
+    for argv, option in kept:
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + option) == 0
+        assert capsys.readouterr() == plain, option
+
+
 def test_table_format(capsys):
     assert main(["analyze", "--name", "Q8", "--format", "table"]) == 0
     out = capsys.readouterr().out
