@@ -49,7 +49,6 @@ from .isoclinism import (
 from .constructors import (
     ActionSpec,
     automorphism_from_generator_images,
-    catalog,
     catalog_keys,
     cyclic,
     direct_product,

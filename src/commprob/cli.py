@@ -23,6 +23,7 @@ from .perm import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     GroupError,
+    OrderCapExceeded,
     Permutation,
     generate_group,
 )
@@ -130,9 +131,16 @@ def _load_group(args, suffix: str = "") -> tuple[FiniteGroup, str]:
 def _group(name: str | None, path: str | None, max_order: int) -> FiniteGroup:
     """The catalog group ``name`` if it is given, else the group file at ``path``."""
     if name is not None:
+        _check_cap(catalog_orders().get(name, 0), max_order)
         return named(name)
     degree, gens = parse_group_file(_read_text(path))
     return generate_group(degree, gens, max_order=max_order)
+
+
+def _check_cap(order: int, max_order: int) -> None:
+    """Refuse a catalog group above ``max_order``, as a group file is refused."""
+    if order > max_order:
+        raise OrderCapExceeded(f"group closure exceeded the order cap of {max_order}")
 
 
 def _read_text(path: str) -> str:
@@ -234,6 +242,7 @@ def _cmd_verify(args) -> int:
         _emit(payload, args.format)
         return 1 if verdict.is_failure() else 0
     if args.all:
+        _check_cap(max(catalog_orders().values()), args.max_order)
         reports, _ = run_catalog_verification()
     else:
         G, label = _load_group(args)

@@ -44,15 +44,13 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup._over_table(rows, (1,) if n > 1 else ())
 
 
-def direct_product(
-    A: FiniteGroup, B: FiniteGroup, max_order: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """A x B acting on the disjoint union of the two point sets: the closure
     (:func:`generate_group`) of A's generators on the first block, then B's
-    on the second, which are its generators.  Orders above ``max_order`` or
-    :data:`MAX_GROUP_ORDER` are refused before any element is built."""
+    on the second, which are its generators.  Orders above the default cap
+    (or :data:`MAX_GROUP_ORDER`) are refused before any element is built."""
     order = A.order * B.order
-    cap = min(max_order, MAX_GROUP_ORDER)
+    cap = min(DEFAULT_ORDER_CAP, MAX_GROUP_ORDER)
     if order > cap:
         raise GroupError(f"product order {order} exceeds the order cap of {cap}")
     da = A.degree
@@ -63,7 +61,7 @@ def direct_product(
     ea, eb = A.element(A.identity_index), B.element(B.identity_index)
     gens = [pair(A.element(i), eb) for i in A.generating_indices()]
     gens += [pair(ea, B.element(j)) for j in B.generating_indices()]
-    return generate_group(da + B.degree, gens, max_order=max_order)
+    return generate_group(da + B.degree, gens)
 
 
 def automorphism_from_generator_images(
@@ -337,8 +335,3 @@ def named(name: str) -> FiniteGroup:
             + ", ".join(catalog_keys())
         ) from None
     return builder()
-
-
-def catalog() -> dict[str, FiniteGroup]:
-    """Build the whole catalog, in canonical order."""
-    return {name: named(name) for name in catalog_keys()}

@@ -20,6 +20,7 @@ from .isomorphism import iter_isomorphisms
 from .structure import (
     Subgroup,
     _cached,
+    _central_mod,
     _coset_data,
     center,
     commutator,
@@ -35,20 +36,16 @@ class IsoclinismWitness(NamedTuple):
 
 def _section(G: FiniteGroup, K: Subgroup) -> tuple[Subgroup, tuple]:
     """The central quotient and derived subgroup of G/K, read in G's table and
-    memoized per K.  The first is M = {g : [g, x] in K for every generator x
-    of G}, so that G/M is the central quotient of G/K (for K = 1, M is
-    :func:`center`'s memo).  The second is G'K/K as ``(of, reps)``: the
-    cosets of K in G'K numbered by lowest member, ``reps[i]`` that member and
-    ``of[g]`` g's number, -1 outside G'K (for K = 1, G' in member order)."""
+    memoized per K.  The first is M, the preimage of Z(G/K), so that G/M is
+    the central quotient of G/K: Z(G)'s rule read through K's coset ids
+    (:func:`_central_mod`; for K = 1, :func:`center`'s memo).  The second is
+    G'K/K as ``(of, reps)``: the cosets of K in G'K numbered by lowest member,
+    ``reps[i]`` that member and ``of[g]`` g's number, -1 outside G'K (for
+    K = 1, G' in member order)."""
 
     def compute():
         k_of, k_reps = _coset_data(G, K)
-        if K.is_trivial():
-            M = center(G)
-        else:  # gK and xK commute iff Kgx = Kxg, gx off column x, xg off row x
-            gens = [(G.row(x), G.column(x)) for x in G.generating_indices()]
-            M = Subgroup(G, [g for g in range(G.order) if all(
-                k_of[col[g]] == k_of[row[g]] for row, col in gens)])
+        M = center(G) if K.is_trivial() else _central_mod(G, k_of)
         ids = sorted({k_of[d] for d in derived_subgroup(G).member_indices})
         number = {k: i for i, k in enumerate(ids)}
         return M, (tuple(number.get(k, -1) for k in k_of), tuple(k_reps[k] for k in ids))

@@ -492,8 +492,12 @@ def _powers(G: FiniteGroup, x: int) -> list[int]:
     return powers
 
 
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Least m >= 1 with x^m equal to the identity (:func:`_powers`)."""
+def _check_index(G: FiniteGroup, x: int) -> None:
     if not 0 <= x < G.order:
         raise IndexError(f"element index {x} out of range for group of order {G.order}")
+
+
+def element_order(G: FiniteGroup, x: int) -> int:
+    """Least m >= 1 with x^m equal to the identity (:func:`_powers`)."""
+    _check_index(G, x)
     return len(_powers(G, x))

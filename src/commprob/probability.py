@@ -115,7 +115,7 @@ def gallagher_check(G: FiniteGroup, N: Subgroup) -> GallagherResult:
         raise GroupError("gallagher_check requires a normal subgroup")
     classes, images = conjugacy_classes(G), _quotient_classes(G, N)
     k_g, k_q, k_n = len(classes), len(set(images)), subgroup_class_count(G, N)
-    n_mask = _mask(bytes(map(frozenset(N.member_indices).__contains__, range(G.order))))
+    n_mask = _mask(bytes(map(N.__contains__, range(G.order))))
     equality = all(
         N.order * len(image) == c.size * (c_mask & n_mask).bit_count()
         for c, image, (_, c_mask) in zip(classes, images, _centralizer_masks(G))

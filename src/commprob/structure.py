@@ -14,7 +14,9 @@ from math import gcd, isqrt
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .perm import FiniteGroup, GroupError, _generator_maps, _grow, _orbits, _powers, _section_steps
+from .perm import (
+    FiniteGroup, GroupError, _check_index, _generator_maps, _grow, _orbits, _powers, _section_steps,
+)
 
 
 class NotNormal(GroupError):
@@ -86,11 +88,6 @@ def _cached(G: FiniteGroup, key, compute):
     return cache[key]
 
 
-def _check_index(G: FiniteGroup, x: int) -> None:
-    if not 0 <= x < G.order:
-        raise IndexError(f"element index {x} out of range for group of order {G.order}")
-
-
 # -- subgroup generation -----------------------------------------------------
 
 
@@ -133,15 +130,20 @@ def _commuting(G: FiniteGroup, g: int) -> bytes:
     return bytes(map(eq, G.row(g), G.column(g)))
 
 
+def _central_mod(G: FiniteGroup, of: Sequence[int]) -> Subgroup:
+    """{g : [g, x] in K for every generator x}, K the normal subgroup whose
+    right-coset ids are ``of``: the preimage of the center of G/K.  gK and
+    xK commute iff Kgx = Kxg, so column x is compared with row x, both read
+    through ``of``, in one C-level pass per generator but the identity (on
+    C1 a one-index gather gives no tuple)."""
+    gens = [x for x in G.generating_indices() if x != G.identity_index]
+    flags = zip(*(map(eq, itemgetter(*G.column(x))(of), itemgetter(*G.row(x))(of)) for x in gens))
+    return Subgroup(G, compress(range(G.order), map(all, flags)) if gens else range(G.order))
+
+
 def center(G: FiniteGroup) -> Subgroup:
-    """Elements commuting with everything (it suffices to test generators)."""
-
-    def compute():
-        flags = [_commuting(G, g) for g in G.generating_indices()]
-        members = compress(range(G.order), map(all, zip(*flags))) if flags else range(G.order)
-        return Subgroup(G, members)
-
-    return _cached(G, "center", compute)
+    """Elements commuting with everything: :func:`_central_mod` for K = 1."""
+    return _cached(G, "center", lambda: _central_mod(G, range(G.order)))
 
 
 def _commute(G: FiniteGroup, gens: Sequence[int]) -> bool:
@@ -184,19 +186,6 @@ def subgroup_class_count(G: FiniteGroup, H: Subgroup) -> int:
         return len(conjugacy_classes(G))
     key = ("class_count", H.member_indices)
     return _cached(G, key, lambda: len(_class_orbits(G, H.member_indices, subgroup_gens(G, H))))
-
-
-def class_size_map(G: FiniteGroup) -> tuple[int, ...]:
-    """Size of the conjugacy class of each element, indexed by element."""
-
-    def compute():
-        sizes = [0] * G.order
-        for c in conjugacy_classes(G):
-            for m in c.members:
-                sizes[m] = c.size
-        return tuple(sizes)
-
-    return _cached(G, "class_sizes", compute)
 
 
 # -- normality and the normal subgroup lattice --------------------------------

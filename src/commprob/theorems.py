@@ -28,7 +28,7 @@ from .structure import (
     Subgroup,
     _cached,
     center,
-    class_size_map,
+    conjugacy_classes,
     derived_subgroup,
     find_complement,
     is_abelian,
@@ -184,11 +184,12 @@ def _is_klein(G: FiniteGroup, N: Subgroup) -> bool:
 
 def _smallest_class_in(G: FiniteGroup, N: Subgroup) -> tuple[int, int] | None:
     """(size, representative) of the smallest nontrivial class of G inside
-    the normal subgroup N, the lowest representative among equals; None if
-    N is trivial.  N is a union of classes and a class's representative is
-    its lowest member, so this is the least (class size, m) over N's members."""
-    sizes = class_size_map(G)
-    return min(((sizes[m], m) for m in N.member_indices if m != G.identity_index), default=None)
+    N, the lowest representative among equals; None if N is trivial.  N must
+    be normal (both callers check it first), so a union of classes: a class
+    lies in N iff its representative, its lowest member, does.  Size 1 means
+    a central element."""
+    classes = conjugacy_classes(G)[1:]  # the identity's class {0} comes first
+    return min(((c.size, c.representative) for c in classes if c.representative in N), default=None)
 
 
 def verify_class_size_theorem(G: FiniteGroup, N: Subgroup, s: int) -> Verdict:
@@ -244,21 +245,14 @@ def verify_klein_fixed_point(G: FiniteGroup, N: Subgroup) -> Verdict:
         return Verdict(stmt, False, True, False, "precondition: N is not normal")
     if not _is_klein(G, N):
         return Verdict(stmt, False, True, False, "precondition: N is not C2xC2")
-    if N.is_whole():
-        has_complement = True  # the trivial subgroup complements N = G
-    else:
-        has_complement = find_complement(G, N) is not None
-    if not has_complement:
+    if not N.is_whole() and find_complement(G, N) is None:  # 1 complements N = G
         return Verdict(stmt, False, True, False, "precondition: G does not split over N")
     d = commuting_probability(G)
     if not d > Fraction(1, 3):
         return Verdict(stmt, False, True, note="not applicable")
-    z = center(G)
-    fixed = [
-        m for m in N.member_indices if m != G.identity_index and m in z
-    ]
-    if fixed:
-        return Verdict(stmt, True, True, note=f"central element {fixed[0]} in N")
+    size, rep = _smallest_class_in(G, N)  # N is C2xC2, so nontrivial
+    if size == 1:
+        return Verdict(stmt, True, True, note=f"central element {rep} in N")
     return Verdict(stmt, True, False, note="no nontrivial fixed element")
 
 

@@ -59,6 +59,21 @@ def oracle_center(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(x for x in range(G.order) if rows[x].tolist() == [row[x] for row in rows])
 
 
+def oracle_central_mod(G: FiniteGroup, K: Subgroup) -> tuple[int, ...]:
+    """Every g whose coset gK commutes with the coset xK of every x in G:
+    gx and xg lie in one right coset of K, each coset the set of products
+    k * y over K's members k, numbered as first met."""
+    rows, number = cayley_table(G), {}
+    coset = [
+        number.setdefault(frozenset(rows[k][y] for k in K.member_indices), len(number))
+        for y in range(G.order)
+    ]
+    return tuple(
+        g for g in range(G.order)
+        if all(coset[rows[g][x]] == coset[rows[x][g]] for x in range(G.order))
+    )
+
+
 def oracle_centralizer(G: FiniteGroup, x: int) -> tuple[int, ...]:
     return tuple(g for g in range(G.order) if G.mul(g, x) == G.mul(x, g))
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from commprob.cli import main as cli_main
-from commprob.constructors import catalog, named
+from commprob.constructors import named
 from commprob.isoclinism import are_isoclinic, find_isoclinism
 from commprob.isomorphism import iter_isomorphisms
 from commprob.perm import Permutation, generate_group
@@ -89,27 +89,26 @@ def test_criterion_2_structural_facts():
     )
 
 
-def test_criterion_3_gustafson_equivalence():
+def test_criterion_3_gustafson_equivalence(cat):
     start = time.monotonic()
-    groups = catalog()
     mismatches = [
         name
-        for name, G in groups.items()
+        for name, G in cat.items()
         if commuting_probability(G) != commuting_pairs_oracle(G)
     ]
     elapsed = time.monotonic() - start
-    orders = [G.order for G in groups.values()]
+    orders = [G.order for G in cat.values()]
     ok = (
         not mismatches
         and elapsed < 60.0
-        and len(groups) >= 20
+        and len(cat) >= 20
         and min(orders) == 1
         and max(orders) == 375
     )
     _report(
         3,
         ok,
-        f"{len(groups)} groups, orders {min(orders)}..{max(orders)}, "
+        f"{len(cat)} groups, orders {min(orders)}..{max(orders)}, "
         f"exact equality, {elapsed:.1f}s",
     )
 
@@ -166,20 +165,19 @@ def test_criterion_5_class_size_suite(catalog_run):
     )
 
 
-def test_criterion_6_isoclinism_suite():
-    groups = catalog()
-    w = find_isoclinism(groups["C2xA4"], groups["A4"])
+def test_criterion_6_isoclinism_suite(cat):
+    w = find_isoclinism(cat["C2xA4"], cat["A4"])
     witness_ok = w is not None and verify_isoclinism_witness(
-        groups["C2xA4"], groups["A4"], w
+        cat["C2xA4"], cat["A4"], w
     )
-    rejected = not are_isoclinic(groups["A4"], groups["S3"])
+    rejected = not are_isoclinic(cat["A4"], cat["S3"])
     agree = True
     pairs = 0
-    for a, b in itertools.combinations(groups, 2):
-        if are_isoclinic(groups[a], groups[b]):
+    for a, b in itertools.combinations(cat, 2):
+        if are_isoclinic(cat[a], cat[b]):
             pairs += 1
-            agree &= commuting_probability(groups[a]) == commuting_probability(groups[b])
-            agree &= is_supersolvable(groups[a]) == is_supersolvable(groups[b])
+            agree &= commuting_probability(cat[a]) == commuting_probability(cat[b])
+            agree &= is_supersolvable(cat[a]) == is_supersolvable(cat[b])
     ok = witness_ok and rejected and agree and pairs > 0
     _report(
         6,
@@ -189,20 +187,19 @@ def test_criterion_6_isoclinism_suite():
     )
 
 
-def test_criterion_7_classifier_sanity():
-    groups = catalog()
+def test_criterion_7_classifier_sanity(cat):
     expect_true = ("S3", "D8", "D10", "Q8", "C6")
     expect_false = ("A4", "S4", "A5", "(C5xC5):C3")
-    ss_ok = all(is_supersolvable(groups[n]) for n in expect_true) and not any(
-        is_supersolvable(groups[n]) for n in expect_false
+    ss_ok = all(is_supersolvable(cat[n]) for n in expect_true) and not any(
+        is_supersolvable(cat[n]) for n in expect_false
     )
     solvable_ok = all(
-        is_solvable(G) == (name != "A5") for name, G in groups.items()
+        is_solvable(G) == (name != "A5") for name, G in cat.items()
     )
     chain_ok = all(
         (not is_nilpotent(G) or is_supersolvable(G))
         and (not is_supersolvable(G) or is_solvable(G))
-        for G in groups.values()
+        for G in cat.values()
     )
     _report(
         7,
@@ -212,10 +209,9 @@ def test_criterion_7_classifier_sanity():
     )
 
 
-def test_criterion_8_boundary_strictness(catalog_run):
-    groups = catalog()
+def test_criterion_8_boundary_strictness(cat, catalog_run):
     five_eighths = Fraction(5, 8)
-    q8, d8 = groups["Q8"], groups["D8"]
+    q8, d8 = cat["Q8"], cat["D8"]
     no_abelian_claim = (
         commuting_probability(q8) == five_eighths
         and commuting_probability(d8) == five_eighths

@@ -688,6 +688,28 @@ def test_max_order_outside_16_bit_range_exit_2(cap, capsys):
     assert err.startswith("error: --max-order") and err.count("\n") == 1
 
 
+def test_max_order_caps_catalog_groups_exit_2(tmp_path, monkeypatch, capsys):
+    # a catalog group above the cap is refused as the same group from a file
+    # is, before anything reaches stdout; the largest catalog group has 375
+    monkeypatch.chdir(tmp_path)
+    Path("s4.grp").write_text("4\n1 2 3 0\n1 0 2 3\n")
+    refused = [
+        ["analyze", "s4.grp", "--max-order", "3"],
+        ["analyze", "--name", "S4", "--max-order", "3"],
+        ["isoclinic", "--name", "S4", "--name2", "A4", "--max-order", "3"],
+        ["construct", "semidirect", "--n", "C2xC2", "--h", "C3", "--describe", "--max-order", "3"],
+        ["verify", "--all", "--max-order", "3"],
+        ["verify", "--all", "--max-order", "374"],
+    ]
+    for argv in refused:
+        assert main(argv) == 2, argv
+        error = f"error: group closure exceeded the order cap of {argv[-1]}\n"
+        assert capsys.readouterr() == ("", error), argv
+    assert main(["verify", "--all", "--format", "json", "--max-order", "375"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_oracle_cap_below_one_exit_2(cap, capsys):
     argv = ["verify", "--name", "C4", "--theorem", "oracle", "--oracle-cap", cap]

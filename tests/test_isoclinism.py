@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commprob import isoclinism
+from commprob.cli import parse_group_file
 from commprob.constructors import (
     _dihedral,
     automorphism_from_generator_images,
@@ -23,6 +24,8 @@ from oracles import (
     are_isomorphic,
     cayley_table,
     find_isomorphism,
+    oracle_center,
+    oracle_central_mod,
     oracle_commutator_pairing,
     oracle_find_isoclinism,
     oracle_quotient,
@@ -284,6 +287,17 @@ def test_sections_match_the_oracle_quotient(cat):
                     assert are_isoclinic(G, H, K) == expected, (name, K.order)
                     found += expected
     assert found > 100
+
+
+@pytest.mark.parametrize("text", ["1\n0\n", "3\n1 2 0\n1 0 2\n0 1 2\n"])
+def test_center_and_sections_skip_an_identity_generator(text):
+    # C1 given by the identity alone, and S3 with the identity added to its
+    # generators: the centre of G and of each G/K are read past the identity
+    G = generate_group(*parse_group_file(text))
+    assert G.identity_index in G.generating_indices()
+    assert center(G).member_indices == oracle_center(G)
+    for K in normal_subgroups(G):
+        assert _section(G, K)[0].member_indices == oracle_central_mod(G, K)
 
 
 def test_section_with_a_nontrivial_center():

@@ -12,6 +12,7 @@ from commprob.isomorphism import iter_isomorphisms
 from commprob.structure import (
     NotNormal,
     Subgroup,
+    _central_mod,
     _chief_factors,
     _coset_data,
     center,
@@ -34,6 +35,7 @@ from commprob.probability import _centralizer_masks, class_count
 from oracles import (
     are_isomorphic,
     oracle_center,
+    oracle_central_mod,
     oracle_centralizer,
     oracle_chief_factor_orders,
     oracle_conjugacy_classes,
@@ -48,6 +50,7 @@ from oracles import (
     oracle_quotient,
     oracle_subgroup,
 )
+from strategies import generator_sets
 
 
 def klein_subgroup(a4):
@@ -102,6 +105,26 @@ def test_center_is_intersection_of_centralizers(cat):
     for x in range(G.order):
         expected &= set(oracle_centralizer(G, x))
     assert set(center(G).member_indices) == expected
+
+
+def check_central_mod(G):
+    # the preimage of Z(G/K) for every normal K, by one pass per generator
+    # through K's coset ids, against the definition over every x in G
+    for K in normal_subgroups(G):
+        assert _central_mod(G, _coset_data(G, K)[0]).member_indices == oracle_central_mod(G, K)
+
+
+def test_central_mod_matches_oracle(cat):
+    for G in cat.values():
+        if G.order <= 100:
+            check_central_mod(G)
+
+
+@given(generator_sets())
+@settings(deadline=None, max_examples=25)
+def test_central_mod_matches_oracle_beyond_the_catalog(spec):
+    degree, gens = spec
+    check_central_mod(generate_group(degree, [Permutation(g) for g in gens]))
 
 
 def test_centralizer_examples(cat):
