@@ -114,7 +114,7 @@ class FiniteGroup:
     """
 
     __slots__ = (
-        "degree", "identity_index", "_elements", "_index", "_gens",
+        "degree", "identity_index", "_elements", "_gens",
         "_rows", "_cols", "_graph", "_cache",
     )
 
@@ -126,7 +126,7 @@ class FiniteGroup:
         is refused.  ``elements`` are the permutations the indices name; by
         default the right regular ones of degree |G|."""
         group = cls.__new__(cls)
-        group.identity_index, group._index, group._gens = 0, None, tuple(gens)
+        group.identity_index, group._gens = 0, tuple(gens)
         group._elements, group._graph, group._cache = elements, None, {}
         group._rows = list(rows)
         group._cols = [group._rows[0]] + [None] * (len(rows) - 1)  # column 0 is row 0
@@ -151,14 +151,6 @@ class FiniteGroup:
         if self._elements is not None:
             return self._elements[i]
         return Permutation(self.column(i))
-
-    def index_of(self, p: Permutation) -> int:
-        if self._index is None:
-            self._index = {q.images: i for i, q in enumerate(self.elements)}
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise GroupError(f"{p!r} is not an element of this group") from None
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} degree={self.degree}>"
@@ -198,10 +190,6 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return self._cayley().inverses[i]
-
-    def conjugate(self, x: int, g: int) -> int:
-        """Index of g^-1 * x * g."""
-        return self.column(g)[self.row(self.inv(g))[x]]
 
     def generating_indices(self) -> tuple[int, ...]:
         """The generators the group was built from, deterministic for a

@@ -161,12 +161,13 @@ def subgroup_is_abelian(G: FiniteGroup, H: Subgroup) -> bool:
     return _commute(G, subgroup_gens(G, H))
 
 
-def _class_orbits(G: FiniteGroup, domain: Iterable[int], conjugators: Sequence[int]) -> list:
-    """The orbits of ``domain`` under conjugation, x -> g^-1 x g: column g
-    gathered at row g^-1 for each conjugator g but the identity (on C1 a
-    one-index gather gives no tuple)."""
-    maps = [itemgetter(*G.row(G.inv(g)))(G.column(g)) for g in conjugators if g != G.identity_index]
-    return _orbits(domain, maps, G.order)
+def _conjugations(G: FiniteGroup, conjugators: Sequence[int] | None = None) -> list:
+    """The conjugation maps x -> g^-1 x g, column g gathered at row g^-1, for
+    each conjugator g but the identity (on C1 a one-index gather gives no
+    tuple); by default G's generators', memoized."""
+    if conjugators is None:
+        return _cached(G, "conjugations", lambda: _conjugations(G, G.generating_indices()))
+    return [itemgetter(*G.row(G.inv(g)))(G.column(g)) for g in conjugators if g != G.identity_index]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
@@ -174,7 +175,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     representative.  Orbits are grown by conjugating with generators only."""
 
     def compute():
-        return [ConjugacyClass(o) for o in _class_orbits(G, range(G.order), G.generating_indices())]
+        return [ConjugacyClass(o) for o in _orbits(range(G.order), _conjugations(G), G.order)]
 
     return _cached(G, "classes", compute)
 
@@ -184,8 +185,8 @@ def subgroup_class_count(G: FiniteGroup, H: Subgroup) -> int:
     conjugation by its own generators, in G's table.  Memoized on G."""
     if H.is_whole():
         return len(conjugacy_classes(G))
-    key = ("class_count", H.member_indices)
-    return _cached(G, key, lambda: len(_class_orbits(G, H.member_indices, subgroup_gens(G, H))))
+    key, gens = ("class_count", H.member_indices), subgroup_gens(G, H)
+    return _cached(G, key, lambda: len(_orbits(H.member_indices, _conjugations(G, gens), G.order)))
 
 
 # -- normality and the normal subgroup lattice --------------------------------
@@ -197,35 +198,39 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
         raise GroupError("subgroup does not belong to this group")
 
     def compute():
-        gens = G.generating_indices()
-        return all(G.conjugate(h, g) in H for h in subgroup_gens(G, H) for g in gens)
+        return all(m[h] in H for h in subgroup_gens(G, H) for m in _conjugations(G))
 
     return _cached(G, ("normal", H.member_indices), compute)
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seeds: the subgroup
-    generated by the seeds' orbits under conjugation by G's generators."""
-    orbits = _class_orbits(G, seeds, G.generating_indices())
-    return Subgroup(G, _closure(G, [x for o in orbits for x in o])[0])
+    """Smallest normal subgroup of G containing the seeds: the orbit of the
+    identity under the seeds' columns and the generators' conjugation maps
+    (:func:`_conjugations`), one :func:`~commprob.perm._grow`.  The orbit
+    lies in the normal closure and is closed under x -> x*s and x -> x^g, so
+    under right multiplication by every conjugate s^h of a seed, as x*s^h =
+    (x^(h^-1)*s)^h, and it holds the identity."""
+    maps = [*map(G.column, set(seeds)), *_conjugations(G)]
+    return Subgroup(G, _grow((G.identity_index,), maps, bytearray(G.order)))
 
 
 def _atoms(G: FiniteGroup) -> dict[tuple[int, ...], int]:
-    """{members: r} for the atoms, the subgroups generated by one conjugacy
-    class each, r the representative of the first class that generates the
-    atom; memoized.  A normal subgroup contains the atom iff it contains r.
-    A generator x^k of <x> (k prime to the order of x) generates the same
-    atom as x, so after each atom the classes of r's generating powers
-    (:func:`~commprob.perm._powers`) are skipped: one closure per cyclic
-    subgroup."""
+    """{members: r} for the atoms, the normal closures <r^G> of one conjugacy
+    class each (:func:`normal_closure`; for a central r, r's powers walked
+    along column r, :func:`~commprob.perm._powers`), r the representative of
+    the first class with that closure; memoized.  A normal subgroup contains
+    the atom iff it contains r.  A generator x^k of <x> (k prime to the
+    order of x) has the same atom as x, so after each atom the classes of
+    r's generating powers are skipped: one walk per cyclic subgroup."""
 
     def compute():
         atoms, done = {}, bytearray(G.order)
         for c in conjugacy_classes(G):
             if not any(map(done.__getitem__, c.members)):
                 r = c.representative
-                atoms.setdefault(_closure(G, c.members)[0], r)
                 powers = _powers(G, r)
+                members = normal_closure(G, [r]).member_indices if c.size > 1 else sorted(powers)
+                atoms.setdefault(tuple(members), r)
                 for k, y in enumerate(powers, 1):
                     if gcd(k, len(powers)) == 1:
                         done[y] = 1

@@ -16,6 +16,7 @@ commutator of the section.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import combinations
 
 from commprob.isoclinism import IsoclinismWitness, _section
@@ -28,6 +29,15 @@ def cayley_table(G: FiniteGroup) -> tuple:
     """The whole Cayley table, ``table[i][j] == G.mul(i, j)``: every row,
     each read through ``G.row``."""
     return tuple(map(G.row, range(G.order)))
+
+
+def oracle_index_of(G: FiniteGroup, p: Permutation) -> int:
+    """The index of the permutation p in G, found by bisection: G's elements
+    are in canonical order, their image tuples ascending."""
+    i = bisect_left(G.elements, p.images, key=lambda q: q.images)
+    if i == G.order or G.elements[i] != p:
+        raise GroupError(f"{p!r} is not an element of this group")
+    return i
 
 
 def oracle_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -103,7 +113,8 @@ def oracle_greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating sequence in canonical order: every element not in
     the subgroup generated by those chosen before it.  Subgroups are closed
     by composing permutations."""
-    return tuple(map(G.index_of, _greedy(list(G.elements), Permutation(range(G.degree)))))
+    greedy = _greedy(list(G.elements), Permutation(range(G.degree)))
+    return tuple(oracle_index_of(G, p) for p in greedy)
 
 
 def oracle_coset_action(G: FiniteGroup, N: tuple[int, ...], g: int) -> Permutation:
@@ -222,16 +233,32 @@ def oracle_has_complement(
 
 
 def oracle_normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    out = []
-    for members in oracle_all_subgroups(G):
-        mset = set(members)
-        if all(
-            G.mul(G.mul(G.inv(g), h), g) in mset
-            for h in members
-            for g in range(G.order)
-        ):
-            out.append(members)
-    return out
+    """Every normal subgroup, sorted.  Each is generated by the conjugacy
+    classes it holds (:func:`oracle_conjugacy_classes`), and a subgroup
+    generated by classes is normal; so all are reached from the trivial one
+    by adding one class at a time and closing, any group order."""
+    classes = oracle_conjugacy_classes(G)
+    found = {frozenset([G.identity_index])}
+    walk = list(found)
+    for members in walk:  # also visits what the loop appends
+        for c in classes:
+            if c[0] not in members:
+                joined = _greedy_closure(G, [*c, *sorted(members)])
+                if joined not in found:
+                    found.add(joined)
+                    walk.append(joined)
+    return sorted(tuple(sorted(m)) for m in found)
+
+
+def _greedy_closure(G: FiniteGroup, seeds) -> frozenset:
+    """The subgroup the seeds generate: :func:`_closure` of those seeds that
+    lie outside the closure of the ones before them, closed anew after each."""
+    closed, chosen = frozenset([G.identity_index]), []
+    for s in seeds:
+        if s not in closed:
+            chosen.append(s)
+            closed = _closure(G, chosen)
+    return closed
 
 
 def oracle_chief_factor_orders(G: FiniteGroup) -> list[int]:

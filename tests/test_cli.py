@@ -1,3 +1,5 @@
+import atexit
+import gc
 import hashlib
 import json
 import os
@@ -842,3 +844,33 @@ def test_closed_stdout_exit_2(argv, unbuffered):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_exit_hook_registered_once_and_nothing_frozen(monkeypatch, capsys):
+    # main registers gc.freeze to run at exit, once however often it is
+    # called; in-process callers keep collecting as before
+    hooks = []
+
+    def unregister(func):
+        hooks[:] = [h for h in hooks if h != func]
+
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    assert main(["catalog", "list"]) == 0
+    assert main(["analyze", "--name", "A4"]) == 0
+    assert hooks == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+
+
+def test_fresh_process_flushes_whole_output_with_exit_hook(tmp_path):
+    # the console script's entry line, stdout a file: all of `verify --all`
+    # reaches it, though the final collection at exit is skipped
+    env = {**os.environ, "PYTHONPATH": str(Path(commprob.__file__).parent.parent)}
+    with open(tmp_path / "out.json", "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY, "verify", "--all", "--format", "json"],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == VERIFY_ALL_SHA256

@@ -103,7 +103,7 @@ def generator_maps(draw):
     gens = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
     if draw(st.booleans()):
         c = draw(st.integers(0, G.order - 1))
-        return G, gens, G, [G.conjugate(g, c) for g in gens]
+        return G, gens, G, [G.mul(G.mul(G.inv(c), g), c) for g in gens]
     H = G if draw(st.booleans()) else group()
     return G, gens, H, [draw(st.integers(0, H.order - 1)) for _ in gens]
 

@@ -21,7 +21,9 @@ from commprob.perm import (
     generate_group,
 )
 
-from oracles import cayley_table, oracle_orbit, oracle_perm_order, oracle_semidirect_table
+from oracles import (
+    cayley_table, oracle_index_of, oracle_orbit, oracle_perm_order, oracle_semidirect_table,
+)
 from strategies import generator_sets as shared_generator_sets
 
 THREE_CYCLE = Permutation([1, 2, 0])
@@ -52,7 +54,7 @@ def test_inverse_law():
     # the group's inverse of an element, composed with it either way round
     p = Permutation([3, 1, 0, 2])
     G = generate_group(4, [p])
-    p_inv = G.elements[G.inv(G.index_of(p))]
+    p_inv = G.elements[G.inv(oracle_index_of(G, p))]
     assert (p * p_inv).images == (p_inv * p).images == (0, 1, 2, 3)
 
 
@@ -97,8 +99,8 @@ def test_order_cap_named_in_error():
 def test_element_order_examples():
     G = generate_group(4, A4_GENS)
     assert element_order(G, G.identity_index) == 1
-    three_cycle = G.index_of(Permutation([1, 2, 0, 3]))
-    double = G.index_of(Permutation([1, 0, 3, 2]))
+    three_cycle = oracle_index_of(G, Permutation([1, 2, 0, 3]))
+    double = oracle_index_of(G, Permutation([1, 0, 3, 2]))
     assert element_order(G, three_cycle) == 3
     assert element_order(G, double) == 2
     with pytest.raises(IndexError):
@@ -140,7 +142,7 @@ def test_mul_table_matches_direct_composition(cat):
         table = cayley_table(G)
         for i in range(G.order):
             for j in range(G.order):
-                expected = G.index_of(G.elements[i] * G.elements[j])
+                expected = oracle_index_of(G, G.elements[i] * G.elements[j])
                 assert table[i][j] == expected, name
 
 
@@ -207,9 +209,9 @@ def test_kernel_matches_permutation_products(spec):
     G = generate_group(degree, gens)
     els = G.elements
     for i in range(G.order):
-        assert G.index_of(els[i] * els[G.inv(i)]) == G.identity_index
+        assert oracle_index_of(G, els[i] * els[G.inv(i)]) == G.identity_index
         for j in range(G.order):
-            assert G.mul(i, j) == G.index_of(els[i] * els[j])
+            assert G.mul(i, j) == oracle_index_of(G, els[i] * els[j])
     # inverses and orders, read off the table, for G and for the group its
     # table gives (whose elements are G's right regular permutations)
     table_given = FiniteGroup._over_table(cayley_table(G), G.generating_indices())
@@ -234,7 +236,7 @@ def test_element_is_the_kept_permutation_or_a_column():
 
 
 def composed_table(G):
-    return [[G.index_of(p * q) for q in G.elements] for p in G.elements]
+    return [[oracle_index_of(G, p * q) for q in G.elements] for p in G.elements]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -425,7 +427,7 @@ def test_rows_whose_generators_do_not_generate_are_refused_on_first_use():
     # wrong inverses and rows
     S3 = generate_group(3, [THREE_CYCLE, Permutation([1, 0, 2])])
     full = cayley_table(S3)
-    t = S3.index_of(Permutation([1, 0, 2]))
+    t = oracle_index_of(S3, Permutation([1, 0, 2]))
     rows = [None] * 6
     rows[0], rows[t] = full[0], full[t]
     G = FiniteGroup._over_table(rows, [t])
@@ -449,7 +451,7 @@ def test_associativity(triple):
 def test_inverse_roundtrip(images):
     p = Permutation(images)
     G = generate_group(p.degree, [p])
-    x = G.index_of(p)
+    x = oracle_index_of(G, p)
     assert G.inv(G.inv(x)) == x
     assert (p * G.elements[G.inv(x)]).images == tuple(range(p.degree))
 

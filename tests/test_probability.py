@@ -26,6 +26,7 @@ from oracles import (
     oracle_commuting_pairs,
     oracle_conjugacy_classes,
     oracle_gallagher_equality,
+    oracle_index_of,
     oracle_quotient,
     oracle_subgroup,
 )
@@ -135,7 +136,7 @@ def test_gallagher_requires_normal(cat):
     a4 = cat["A4"]
     from commprob.perm import Permutation
 
-    stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
+    stab = subgroup_generated(a4, [oracle_index_of(a4, Permutation([1, 2, 0, 3]))])
     with pytest.raises(GroupError):
         gallagher_check(a4, stab)
 

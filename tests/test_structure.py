@@ -31,6 +31,7 @@ from commprob.structure import (
     subgroup_is_abelian,
 )
 from commprob.probability import _centralizer_masks, class_count
+from commprob.theorems import analyze
 
 from oracles import (
     are_isomorphic,
@@ -44,6 +45,7 @@ from oracles import (
     oracle_all_subgroups,
     oracle_greedy_generators,
     oracle_has_complement,
+    oracle_index_of,
     oracle_is_supersolvable,
     oracle_lower_central_series,
     oracle_normal_subgroups,
@@ -67,14 +69,14 @@ def test_subgroup_generated_empty(cat):
 
 def test_subgroup_generated_cyclic(cat):
     a4 = cat["A4"]
-    x = a4.index_of(Permutation([1, 2, 0, 3]))
+    x = oracle_index_of(a4, Permutation([1, 2, 0, 3]))
     assert subgroup_generated(a4, [x]).order == 3
 
 
 def test_subgroup_generated_klein(cat):
     a4 = cat["A4"]
-    a = a4.index_of(Permutation([1, 0, 3, 2]))
-    b = a4.index_of(Permutation([2, 3, 0, 1]))
+    a = oracle_index_of(a4, Permutation([1, 0, 3, 2]))
+    b = oracle_index_of(a4, Permutation([2, 3, 0, 1]))
     assert subgroup_generated(a4, [a, b]).order == 4
 
 
@@ -130,8 +132,8 @@ def test_central_mod_matches_oracle_beyond_the_catalog(spec):
 def test_centralizer_examples(cat):
     a4 = cat["A4"]
     assert len(oracle_centralizer(a4, a4.identity_index)) == 12
-    assert len(oracle_centralizer(a4, a4.index_of(Permutation([1, 2, 0, 3])))) == 3
-    assert len(oracle_centralizer(a4, a4.index_of(Permutation([1, 0, 3, 2])))) == 4
+    assert len(oracle_centralizer(a4, oracle_index_of(a4, Permutation([1, 2, 0, 3])))) == 3
+    assert len(oracle_centralizer(a4, oracle_index_of(a4, Permutation([1, 0, 3, 2])))) == 4
 
 
 def test_centralizer_matches_oracle(cat):
@@ -239,7 +241,7 @@ def test_is_normal_examples(cat):
     a4 = cat["A4"]
     assert is_normal(a4, derived_subgroup(a4))
     assert is_normal(a4, Subgroup(a4, range(a4.order)))
-    stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
+    stab = subgroup_generated(a4, [oracle_index_of(a4, Permutation([1, 2, 0, 3]))])
     assert not is_normal(a4, stab)
     # is_normal is memoized: S4's normal Klein subgroup first, then two
     # subgroups of the same order that are not normal
@@ -249,7 +251,7 @@ def test_is_normal_examples(cat):
         ([[1, 0, 2, 3], [0, 1, 3, 2]], False),
         ([[1, 2, 3, 0]], False),
     ):
-        H = subgroup_generated(s4, [s4.index_of(Permutation(p)) for p in images])
+        H = subgroup_generated(s4, [oracle_index_of(s4, Permutation(p)) for p in images])
         assert H.order == 4 and is_normal(s4, H) == normal
 
 
@@ -281,18 +283,53 @@ def test_normal_subgroups_of_elementary_abelian(n, subspaces):
 
 def test_one_atom_closure_per_cyclic_subgroup(monkeypatch):
     # C60 has 60 classes but 12 cyclic subgroups, one per divisor of 60; the
-    # classes of x^k with k prime to the order of x are not closed again
-    closures = []
+    # classes of x^k with k prime to the order of x are not walked again
+    walks = []
 
-    def counted(G, seeds):
-        closures.append(seeds)
-        return closure(G, seeds)
+    def counted(G, x):
+        walks.append(x)
+        return powers(G, x)
 
-    closure = structure._closure
-    monkeypatch.setattr(structure, "_closure", counted)
+    powers = structure._powers
+    monkeypatch.setattr(structure, "_powers", counted)
     G = generate_group(60, [Permutation([(i + 1) % 60 for i in range(60)])])
     assert len(normal_subgroups(G)) == 12
-    assert len(closures) <= 12
+    assert len(walks) == 12
+
+
+def check_atoms(G):
+    # each class's atom is the smallest normal subgroup holding the class, and
+    # the atoms are exactly those subgroups
+    normals = [set(n) for n in oracle_normal_subgroups(G)]
+    atom_of = {}
+    for c in oracle_conjugacy_classes(G):
+        smallest = min((n for n in normals if n.issuperset(c)), key=len)
+        atom_of.update(dict.fromkeys(c, tuple(sorted(smallest))))
+    atoms = structure._atoms(G)
+    assert all(atom_of[r] == members for members, r in atoms.items())
+    assert set(atoms) == set(atom_of.values())
+
+
+def test_atoms_match_oracle(cat):
+    for name, G in cat.items():
+        if G.order <= 100:
+            check_atoms(G)
+
+
+@given(generator_sets())
+@settings(deadline=None, max_examples=25)
+def test_atoms_match_oracle_beyond_the_catalog(spec):
+    degree, gens = spec
+    check_atoms(generate_group(degree, [Permutation(g) for g in gens]))
+
+
+def test_analyze_s6_columns_built():
+    # a normal closure, each atom and G' included, is walked along its seeds'
+    # columns and the generators' conjugation maps, so no other column is
+    # built for it; closing them under greedy generators built 143
+    G = generate_group(6, [Permutation([1, 2, 3, 4, 5, 0]), Permutation([1, 0, 2, 3, 4, 5])])
+    analyze(G)
+    assert sum(c is not None for c in G._cols) == 55
 
 
 # -- quotients read in G's table ------------------------------------------------
@@ -327,7 +364,7 @@ def test_quotient_by_trivial_isomorphic(cat):
 
 def test_quotient_requires_normal(cat):
     a4 = cat["A4"]
-    stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
+    stab = subgroup_generated(a4, [oracle_index_of(a4, Permutation([1, 2, 0, 3]))])
     with pytest.raises(NotNormal):
         next(iter_isomorphisms(a4, cat["C2xC2"], stab))
 
@@ -474,7 +511,7 @@ def test_complement_preconditions(cat):
         find_complement(a4, subgroup_generated(a4, []))
     with pytest.raises(GroupError):
         find_complement(a4, Subgroup(a4, range(a4.order)))
-    stab = subgroup_generated(a4, [a4.index_of(Permutation([1, 2, 0, 3]))])
+    stab = subgroup_generated(a4, [oracle_index_of(a4, Permutation([1, 2, 0, 3]))])
     with pytest.raises(NotNormal):
         find_complement(a4, stab)
 
