@@ -16,6 +16,7 @@ index a * |H| + h, so N and H embed as a -> a * |H| and h -> h.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -180,25 +181,18 @@ def semidirect_product(
 # -- named groups --------------------------------------------------------------
 
 
-def _symmetric(n: int) -> FiniteGroup:
-    cycle = Permutation([(i + 1) % n for i in range(n)])
-    swap = Permutation([1, 0] + list(range(2, n)))
-    return generate_group(n, [cycle, swap])
+def _generated(*images: list[int]) -> FiniteGroup:
+    """The group generated by permutations given as the images of 0..n-1."""
+    return generate_group(len(images[0]), list(map(Permutation, images)))
 
 
-def _alternating4() -> FiniteGroup:
-    return generate_group(4, [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])])
+def _symmetric(n: int) -> FiniteGroup:  # an n-cycle and a transposition
+    return _generated([(i + 1) % n for i in range(n)], [1, 0, *range(2, n)])
 
 
-def _alternating5() -> FiniteGroup:
-    return generate_group(5, [Permutation([1, 2, 3, 4, 0]), Permutation([1, 2, 0, 3, 4])])
-
-
-def _dihedral(order: int) -> FiniteGroup:
+def _dihedral(order: int) -> FiniteGroup:  # the rotation and a flip of an (order/2)-gon
     n = order // 2
-    rot = Permutation([(i + 1) % n for i in range(n)])
-    flip = Permutation([(n - i) % n for i in range(n)])
-    return generate_group(n, [rot, flip])
+    return _generated([(i + 1) % n for i in range(n)], [-i % n for i in range(n)])
 
 
 _QUAT_AXIS = {
@@ -209,47 +203,41 @@ _QUAT_AXIS = {
 }
 
 
-def _quaternion_with_units() -> tuple[FiniteGroup, dict[tuple[int, int], int]]:
+def _quaternion() -> FiniteGroup:
     """Q8 from the quaternion unit table, in its regular representation.
 
-    Units are (sign, axis) with axes 1, i, j, k; the returned map gives the
-    canonical element index of each unit.
+    The unit of sign s and axis a (axes 1, i, j, k) has index 4 * s + a, so
+    i, j and k are 1, 2 and 3.
     """
 
-    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        s, axis = _QUAT_AXIS[(x[1], y[1])]
-        return ((x[0] + y[0] + s) % 2, axis)
+    def mul(x: int, y: int) -> int:
+        s, axis = _QUAT_AXIS[(x % 4, y % 4)]
+        return 4 * ((x // 4 + y // 4 + s) % 2) + axis
 
-    units = [(s, u) for s in range(2) for u in range(4)]
-    idx = {u: i for i, u in enumerate(units)}
-    rows = [array("H", [idx[mul(x, y)] for y in units]) for x in units]
-    return FiniteGroup._over_table(rows, (idx[(0, 1)], idx[(0, 2)])), idx
+    rows = [array("H", [mul(x, y) for y in range(8)]) for x in range(8)]
+    return FiniteGroup._over_table(rows, (1, 2))
 
 
-def _c7_c3() -> FiniteGroup:
-    c7 = cyclic(7)
-    squaring = tuple((2 * r) % 7 for r in range(7))
-    return semidirect_product(c7, cyclic(3), ActionSpec((1,), (squaring,)))
+def _cyclic_extension(
+    N: FiniteGroup, n: int, gens: Sequence[int], images: Sequence[int]
+) -> FiniteGroup:
+    """N : Cn, the generator 1 of Cn acting as the automorphism of N that
+    sends gens to images."""
+    act = automorphism_from_generator_images(N, gens, images)
+    return semidirect_product(N, named(f"C{n}"), ActionSpec((1,), (act,)))
 
 
 def _c2cube_c7() -> FiniteGroup:
-    n = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    n = named("C2xC2xC2")
     e1, e2, e3 = n.generating_indices()  # one per factor, in order
-    act = automorphism_from_generator_images(n, [e1, e2, e3], [e2, e3, n.mul(e1, e2)])
-    return semidirect_product(n, cyclic(7), ActionSpec((1,), (act,)))
-
-
-def _c5c5() -> FiniteGroup:
-    return direct_product(cyclic(5), cyclic(5))
+    return _cyclic_extension(n, 7, [e1, e2, e3], [e2, e3, n.mul(e1, e2)])
 
 
 def _c5c5_c3() -> FiniteGroup:
     """(C5 x C5) : C3 with a fixed-point-free order-3 action."""
-    n55 = _c5c5()
+    n55 = named("C5xC5")
     e1, e2 = n55.generating_indices()  # one per factor, in order
-    inv_e1e2 = n55.inv(n55.mul(e1, e2))
-    act = automorphism_from_generator_images(n55, [e1, e2], [e2, inv_e1e2])
-    return semidirect_product(n55, cyclic(3), ActionSpec((1,), (act,)))
+    return _cyclic_extension(n55, 3, [e1, e2], [e2, n55.inv(n55.mul(e1, e2))])
 
 
 def _c5c5_c15() -> FiniteGroup:
@@ -261,74 +249,67 @@ def _c5c5_c15() -> FiniteGroup:
     exponent 5), then an order-3 automorphism acting freely on its central
     quotient.  This is the unique order-375 group with 23 conjugacy classes.
     """
-    n55 = _c5c5()
+    n55 = named("C5xC5")
     e1, e2 = n55.generating_indices()  # one per factor, in order
-    shear = automorphism_from_generator_images(n55, [e1, e2], [e1, n55.mul(e1, e2)])
-    heis = semidirect_product(n55, cyclic(5), ActionSpec((1,), (shear,)))
+    heis = _cyclic_extension(n55, 5, [e1, e2], [e1, n55.mul(e1, e2)])
     x, y = e2 * 5, 1  # the embedded e2 and generator of C5
-    xy_inv = heis.inv(heis.mul(x, y))
-    beta = automorphism_from_generator_images(heis, [x, y], [y, xy_inv])
-    return semidirect_product(heis, cyclic(3), ActionSpec((1,), (beta,)))
+    return _cyclic_extension(heis, 3, [x, y], [y, heis.inv(heis.mul(x, y))])
 
 
-def _q8_c3() -> FiniteGroup:
-    """Q8 : C3 with the order-3 automorphism cycling i -> j -> k."""
-    q8, idx = _quaternion_with_units()
-    i, j, k = idx[(0, 1)], idx[(0, 2)], idx[(0, 3)]
-    act = automorphism_from_generator_images(q8, [i, j], [j, k])
-    return semidirect_product(q8, cyclic(3), ActionSpec((1,), (act,)))
-
-
-_CATALOG_SPEC: list[tuple[str, int, Callable[[], FiniteGroup]]] = []
-
-
-def _build_catalog_spec() -> None:
-    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15):
-        _CATALOG_SPEC.append((f"C{n}", n, (lambda m: lambda: cyclic(m))(n)))
-    _CATALOG_SPEC.append(("C2xC2", 4, lambda: direct_product(cyclic(2), cyclic(2))))
-    _CATALOG_SPEC.append(("C2xC4", 8, lambda: direct_product(cyclic(2), cyclic(4))))
-    _CATALOG_SPEC.append(
-        ("C2xC2xC2", 8, lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)))
-    )
-    _CATALOG_SPEC.append(("C3xC3", 9, lambda: direct_product(cyclic(3), cyclic(3))))
-    _CATALOG_SPEC.append(
-        ("C2xC2xC3", 12, lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(3)))
-    )
-    _CATALOG_SPEC.append(("C5xC5", 25, _c5c5))
-    _CATALOG_SPEC.append(("S3", 6, lambda: _symmetric(3)))
-    _CATALOG_SPEC.append(("D8", 8, lambda: _dihedral(8)))
-    _CATALOG_SPEC.append(("Q8", 8, lambda: _quaternion_with_units()[0]))
-    _CATALOG_SPEC.append(("D10", 10, lambda: _dihedral(10)))
-    _CATALOG_SPEC.append(("A4", 12, _alternating4))
-    _CATALOG_SPEC.append(("D12", 12, lambda: _dihedral(12)))
-    _CATALOG_SPEC.append(("C7:C3", 21, _c7_c3))
-    _CATALOG_SPEC.append(("S4", 24, lambda: _symmetric(4)))
-    _CATALOG_SPEC.append(("C2xA4", 24, lambda: direct_product(cyclic(2), _alternating4())))
-    _CATALOG_SPEC.append(("Q8:C3", 24, _q8_c3))
-    _CATALOG_SPEC.append(("C2^3:C7", 56, _c2cube_c7))
-    _CATALOG_SPEC.append(("A5", 60, _alternating5))
-    _CATALOG_SPEC.append(("(C5xC5):C3", 75, _c5c5_c3))
-    _CATALOG_SPEC.append(("(C5xC5):C15", 375, _c5c5_c15))
-    _CATALOG_SPEC.sort(key=lambda t: (t[1], t[0]))
-
-
-_build_catalog_spec()
-_BUILDERS = {name: fn for name, _, fn in _CATALOG_SPEC}
+# key -> (order, builder), in canonical order: ascending order, then key.
+# Products take their factors from named(), so each factor is built once.
+_CATALOG: dict[str, tuple[int, Callable[[], FiniteGroup]]] = {
+    "C1": (1, lambda: cyclic(1)),
+    "C2": (2, lambda: cyclic(2)),
+    "C3": (3, lambda: cyclic(3)),
+    "C2xC2": (4, lambda: direct_product(named("C2"), named("C2"))),
+    "C4": (4, lambda: cyclic(4)),
+    "C5": (5, lambda: cyclic(5)),
+    "C6": (6, lambda: cyclic(6)),
+    "S3": (6, lambda: _symmetric(3)),
+    "C7": (7, lambda: cyclic(7)),
+    "C2xC2xC2": (8, lambda: direct_product(named("C2xC2"), named("C2"))),
+    "C2xC4": (8, lambda: direct_product(named("C2"), named("C4"))),
+    "C8": (8, lambda: cyclic(8)),
+    "D8": (8, lambda: _dihedral(8)),
+    "Q8": (8, _quaternion),
+    "C3xC3": (9, lambda: direct_product(named("C3"), named("C3"))),
+    "C9": (9, lambda: cyclic(9)),
+    "C10": (10, lambda: cyclic(10)),
+    "D10": (10, lambda: _dihedral(10)),
+    "A4": (12, lambda: _generated([1, 2, 0, 3], [1, 0, 3, 2])),
+    "C12": (12, lambda: cyclic(12)),
+    "C2xC2xC3": (12, lambda: direct_product(named("C2xC2"), named("C3"))),
+    "D12": (12, lambda: _dihedral(12)),
+    "C15": (15, lambda: cyclic(15)),
+    "C7:C3": (21, lambda: _cyclic_extension(named("C7"), 3, [1], [2])),
+    "C2xA4": (24, lambda: direct_product(named("C2"), named("A4"))),
+    "Q8:C3": (24, lambda: _cyclic_extension(named("Q8"), 3, [1, 2], [2, 3])),  # i -> j -> k
+    "S4": (24, lambda: _symmetric(4)),
+    "C5xC5": (25, lambda: direct_product(named("C5"), named("C5"))),
+    "C2^3:C7": (56, _c2cube_c7),
+    "A5": (60, lambda: _generated([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])),
+    "(C5xC5):C3": (75, _c5c5_c3),
+    "(C5xC5):C15": (375, _c5c5_c15),
+}
 
 
 def catalog_keys() -> list[str]:
     """Stable catalog keys in canonical order (ascending order, then key)."""
-    return [name for name, _, _ in _CATALOG_SPEC]
+    return list(_CATALOG)
 
 
 def catalog_orders() -> dict[str, int]:
-    return {name: order for name, order, _ in _CATALOG_SPEC}
+    return {name: order for name, (order, _) in _CATALOG.items()}
 
 
+@functools.cache
 def named(name: str) -> FiniteGroup:
-    """Construct a catalog group by key; the construction is deterministic."""
+    """The catalog group of this key, built on the first call and that same
+    instance returned after, memos and all; the construction is
+    deterministic, and ``named.__wrapped__`` builds a fresh copy."""
     try:
-        builder = _BUILDERS[name]
+        _, builder = _CATALOG[name]
     except KeyError:
         raise GroupError(
             f"unknown catalog key {name!r}; available keys: "

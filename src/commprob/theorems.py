@@ -9,7 +9,6 @@ counterexample.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -107,11 +106,6 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@functools.lru_cache(maxsize=None)
-def _reference(key: str) -> FiniteGroup:
-    return named(key)
-
-
 def _normal_descriptor(G: FiniteGroup, N: Subgroup) -> str:
     """``N=order<k>``, plus ``#<i>``, its place in lattice order, when G has
     several normal subgroups of order k; a non-normal N gets the bare order.
@@ -150,7 +144,7 @@ def _supersolvable_or_isoclinic(
     if is_supersolvable(G):
         return Verdict(stmt, True, True, note="supersolvable")
     for key, central in branches:
-        if are_isoclinic(G, _reference(key), center(G) if central else None):
+        if are_isoclinic(G, named(key), center(G) if central else None):
             note = ("central quotient " if central else "") + f"isoclinic to {key}"
             return Verdict(stmt, True, True, note=note)
     return Verdict(stmt, True, False, note="no branch holds")
@@ -265,7 +259,7 @@ def analyze(G: FiniteGroup, name: str = "") -> GroupReport:
     d = commuting_probability(G)
     z = center(G)
     derived = derived_subgroup(G)
-    a4 = _reference("A4")
+    a4 = named("A4")
     report = GroupReport(
         name=name,
         order=G.order,
@@ -283,7 +277,7 @@ def analyze(G: FiniteGroup, name: str = "") -> GroupReport:
         stem=is_stem(G),
         isoclinic_to_A4=are_isoclinic(G, a4),
         quotient_by_center_isoclinic_to_A4=are_isoclinic(G, a4, z),
-        isoclinic_to_C5C5C3=are_isoclinic(G, _reference("(C5xC5):C3")),
+        isoclinic_to_C5C5C3=are_isoclinic(G, named("(C5xC5):C3")),
         theorem_verdicts=[],
     )
     verdicts = report.theorem_verdicts

@@ -64,7 +64,7 @@ def test_criterion_1_exact_values():
     details = []
     for name, value in expected.items():
         start = time.monotonic()
-        d = commuting_probability(named(name))
+        d = commuting_probability(named.__wrapped__(name))
         elapsed = time.monotonic() - start
         ok &= d == value and elapsed < 1.0
         details.append(f"d({name})={d} in {elapsed:.2f}s")

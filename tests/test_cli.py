@@ -1,13 +1,18 @@
 import atexit
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commprob.cli import (
     GroupFileError,
@@ -204,6 +209,33 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     path.write_text("3\n1 1 0\n")
     assert main(["analyze", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@st.composite
+def group_files(draw):
+    """A degree of at most 6, then up to 4 data lines of digits, '-', '#',
+    letters and blanks, some of them permutations of the points."""
+    degree = draw(st.integers(1, 6))
+    line = st.one_of(
+        st.text("0123456789-# abZ", max_size=16),
+        st.permutations(range(degree)).map(lambda p: " ".join(map(str, p))),
+    )
+    return "\n".join([str(degree), *draw(st.lists(line, max_size=4))]) + "\n"
+
+
+@given(group_files())
+@settings(deadline=None, max_examples=100)
+def test_analyze_any_small_group_file_exits_0_or_2(text):
+    # at most S6 (order 720) can arise; a refused file is one error line
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "g.grp")
+        Path(path).write_text(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), err.getvalue()
 
 
 def test_analyze_refuses_a_degree_above_the_limit_exit_2(tmp_path, capsys):
@@ -634,7 +666,7 @@ def test_analyze_s6_builds_no_table(tmp_path, monkeypatch, capsys):
     # built on first use, fewer than 360 of the 2 * 720 in all
     text, args, sha = ANALYZE_GOLDEN[".perfbench_work/s6.grp"]
     for key in ("A4", "(C5xC5):C3"):
-        theorems._reference(key)  # built before the count
+        named(key)  # built before the count
     groups = _recording_generate_group(monkeypatch)
     monkeypatch.chdir(tmp_path)
     Path("s6.grp").write_text(text)

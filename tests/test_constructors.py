@@ -1,5 +1,10 @@
+import functools
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -208,17 +213,26 @@ def test_semidirect_unfilled_row_is_a_group_error():
         semidirect_product(N, H, trivial_action(N, H))
 
 
+@pytest.fixture
+def fresh_named(monkeypatch):
+    """A memo of named() local to the test: every catalog group it builds,
+    factors included, is new, and the shared instances are left untouched."""
+    fresh = functools.cache(named.__wrapped__)
+    monkeypatch.setattr(constructors, "named", fresh)
+    return fresh
+
+
 def test_semidirect_product_holds_only_its_graph_rows():
     # built from its generators' rows, which the graph inverts; every other
     # row of (C5xC5):C15 waits for first use
-    G = named("(C5xC5):C15")
+    G = named.__wrapped__("(C5xC5):C15")
     gens = G.generating_indices()
     built = {i for i, row in enumerate(G._rows) if row is not None}
     assert built <= {0, *gens, *map(G.inv, gens)}
     assert len(cayley_table(G)) == 375
 
 
-def test_semidirect_product_reads_rows_of_few_elements(monkeypatch):
+def test_semidirect_product_reads_rows_of_few_elements(monkeypatch, fresh_named):
     # C2^3 : C7 is built, its action checked and its generators' rows written
     # from the rows and columns of generators of N and H: fewer than |N| rows
     # of N and fewer than |H| of H are ever built
@@ -226,7 +240,7 @@ def test_semidirect_product_reads_rows_of_few_elements(monkeypatch):
     original = constructors.semidirect_product
     monkeypatch.setattr(constructors, "semidirect_product", lambda N, H, action, **kwargs: (
         built.append((N, H)) or original(N, H, action, **kwargs)))
-    G = named("C2^3:C7")
+    G = fresh_named("C2^3:C7")
     ((N, H),) = built
     assert (G.order, N.order, H.order) == (56, 8, 7)
     for group in (N, H):
@@ -237,7 +251,7 @@ def table_lists(G):
     return [row.tolist() for row in cayley_table(G)]
 
 
-def test_catalog_semidirect_products_match_oracle_table(monkeypatch):
+def test_catalog_semidirect_products_match_oracle_table(monkeypatch, fresh_named):
     built = []
     original = constructors.semidirect_product
 
@@ -248,7 +262,7 @@ def test_catalog_semidirect_products_match_oracle_table(monkeypatch):
 
     monkeypatch.setattr(constructors, "semidirect_product", recording)
     for key in catalog_keys():
-        named(key)
+        fresh_named(key)
     assert len(built) == 6  # C7:C3, Q8:C3, C2^3:C7, (C5xC5):C3, and two for (C5xC5):C15
     for N, H, action, G in built:
         images = dict(zip(action.acting_generators, action.automorphism_images))
@@ -297,6 +311,53 @@ def test_named_order_375():
     assert commuting_probability(G) == Fraction(23, 375)
 
 
+def test_named_returns_one_instance_per_key():
+    for key in catalog_keys():
+        assert named(key) is named(key), key
+    assert named.__wrapped__("A4") is not named("A4")
+
+
+# counts the groups (FiniteGroup._over_table) and Cayley graphs
+# (perm._cayley_graph) built by the work named in argv[1]
+_COUNT_BUILDS = """
+import sys
+from commprob import perm
+from commprob.constructors import catalog_keys, named
+from commprob.theorems import run_catalog_verification
+
+counts = [0, 0]
+over_table, cayley_graph = perm.FiniteGroup._over_table.__func__, perm._cayley_graph
+
+def group(cls, *args, **kwargs):
+    counts[0] += 1
+    return over_table(cls, *args, **kwargs)
+
+def graph(*args):
+    counts[1] += 1
+    return cayley_graph(*args)
+
+perm.FiniteGroup._over_table, perm._cayley_graph = classmethod(group), graph
+if sys.argv[1] == "verify":
+    run_catalog_verification()
+else:
+    [named(key) for key in catalog_keys()]
+print(*counts)
+"""
+
+
+@pytest.mark.parametrize("work, built", [("verify", "33 32"), ("named", "33 14")])
+def test_catalog_builds_each_group_once_per_process(work, built):
+    # in a fresh process: the 32 catalog groups and the order-125 stage of
+    # (C5xC5):C15, each product's factors taken from named(); the catalog
+    # run builds no group of its own and one graph per group it analyzes
+    env = {**os.environ, "PYTHONPATH": str(Path(constructors.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS, work],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, built), proc.stderr
+
+
 def test_named_unknown_lists_keys():
     with pytest.raises(GroupError) as err:
         named("M11")
@@ -319,7 +380,7 @@ def test_catalog_canonical_order():
 
 def test_catalog_regeneration_deterministic(cat):
     for name in catalog_keys():
-        fresh = named(name)
+        fresh = named.__wrapped__(name)
         assert [p.images for p in fresh.elements] == [
             p.images for p in cat[name].elements
         ], name

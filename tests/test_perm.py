@@ -228,7 +228,7 @@ def test_element_is_the_kept_permutation_or_a_column():
     S4 = generate_group(4, [Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
     assert [S4.element(i) for i in range(24)] == list(S4.elements)
     for name in ("Q8", "C7:C3"):
-        G = named(name)
+        G = named.__wrapped__(name)
         rows = cayley_table(G)
         columns = [G.element(i) for i in range(G.order)]
         assert [p.images for p in columns] == [tuple(r[i] for r in rows) for i in range(G.order)]
@@ -302,13 +302,14 @@ def _given_by_rows():
     cyclic groups, Q8 (the right regular permutations of a fresh copy's
     table, composed) and semidirect products (the oracle's formula)."""
     groups = [(cyclic(n), [[(i + j) % n for j in range(n)] for i in range(n)]) for n in (1, 2, 6)]
-    q8 = cayley_table(named("Q8"))
+    q8 = cayley_table(named.__wrapped__("Q8"))
     regular = [Permutation([row[i] for row in q8]) for i in range(8)]
     index = {p.images: i for i, p in enumerate(regular)}
-    groups.append((named("Q8"), [[index[(p * q).images] for q in regular] for p in regular]))
+    products = [[index[(p * q).images] for q in regular] for p in regular]
+    groups.append((named.__wrapped__("Q8"), products))
     c7, c3 = cyclic(7), cyclic(3)
     squaring = tuple(2 * r % 7 for r in range(7))
-    groups.append((named("C7:C3"), oracle_semidirect_table(c7, c3, {1: squaring})))
+    groups.append((named.__wrapped__("C7:C3"), oracle_semidirect_table(c7, c3, {1: squaring})))
     return groups
 
 

@@ -618,7 +618,7 @@ def test_identity_maps_share_the_parent_memo(cat):
 def test_subgroup_of_another_group_object_is_refused(cat):
     # a subgroup belongs to one group object; a fresh build of the same
     # group is another parent
-    a4, fresh = cat["A4"], named("A4")
+    a4, fresh = cat["A4"], named.__wrapped__("A4")
     klein = klein_subgroup(a4)
     copy = Subgroup(fresh, klein.member_indices)
     assert copy != klein and copy == klein_subgroup(fresh)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commprob import structure, theorems
-from commprob.constructors import named
+from commprob.constructors import direct_product, named
 from commprob.perm import FiniteGroup, Permutation, generate_group
+from commprob.probability import commuting_probability
 from commprob.structure import (
     center,
     conjugacy_classes,
@@ -15,7 +16,6 @@ from commprob.structure import (
 )
 from commprob.theorems import (
     Verdict,
-    _reference,
     _smallest_class_in,
     analyze,
     run_catalog_verification,
@@ -73,6 +73,16 @@ def test_5_16_s4_not_applicable(cat):
 def test_5_16_d8_supersolvable(cat):
     v = verify_supersolvable_5_16(cat["D8"])
     assert v.applicable and v.holds and v.note == "supersolvable"
+
+
+def test_5_16_is_strict_at_the_boundary():
+    # no catalog group has d exactly 5/16; D8 x S3 does (5/8 * 1/2), and
+    # neither statement applies to it
+    G = direct_product(named("D8"), named("S3"))
+    assert (G.order, commuting_probability(G)) == (48, Fraction(5, 16))
+    for verify in (verify_supersolvable_5_16, verify_supersolvable_1_3):
+        v = verify(G)
+        assert (v.state, v.note) == ("VACUOUS", "not applicable"), v
 
 
 def test_5_16_central_quotient_branch(cat, monkeypatch):
@@ -299,7 +309,7 @@ def test_verdict_state_is_the_one_classification():
 
 def test_analyze_deterministic(cat):
     a = analyze(named("S4"), name="S4").to_dict()
-    b = analyze(named("S4"), name="S4").to_dict()
+    b = analyze(named.__wrapped__("S4"), name="S4").to_dict()
     assert a == b
 
 
@@ -307,9 +317,13 @@ def test_analyze_builds_no_quotient_per_normal_subgroup(monkeypatch):
     # G/N, G/Z(G) and G' are read in G's own table: once the reference groups
     # exist, analyze constructs no group.  C2^4 as four disjoint transpositions.
     for key in ("A4", "(C5xC5):C3"):
-        _reference(key)
+        named(key)
     swaps = [[i ^ 1 if i // 2 == k else i for i in range(8)] for k in range(4)]
-    groups = [named("C2xA4"), generate_group(8, [Permutation(p) for p in swaps]), named("S4")]
+    groups = [
+        named.__wrapped__("C2xA4"),
+        generate_group(8, [Permutation(p) for p in swaps]),
+        named.__wrapped__("S4"),
+    ]
     built = []
     over_table = FiniteGroup.__dict__["_over_table"].__func__
 
